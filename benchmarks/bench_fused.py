@@ -1,26 +1,24 @@
-"""Fused-kernel hot path — whole-application timing, fused vs unfused.
+"""Fused-kernel hot path — whole-application timing and launch counts.
 
-The fused execution layer collapses the BiCGSTAB inner loop's
-back-to-back kernel launches (Matvec then ganged dots, DAXPY then
-DAXPY) into single launches and draws all scratch vectors from a
-reusable workspace.  This benchmark runs the scaled Gaussian-pulse
-problem both ways on the vector (SVE-proxy) backend and records:
+BiCGSTAB runs one loop whose Matvecs carry their ganged dots, whose
+true residuals pair DSCAL with the norm, and whose solution update is
+one DDAXPY, all drawing scratch vectors from a reusable workspace.
+Whether each pairing fuses at register level is a backend capability
+(``native_fused_ops``), not a solver mode, so there is no unfused run
+to compare against; the bitwise native==composed, launch and reduction
+contracts live in ``tests/test_fused.py``.  This benchmark runs the
+scaled Gaussian-pulse problem on the vector (SVE-proxy) backend and
+records:
 
-* whole-app time, measured as back-to-back (fused, unfused) pairs
-  with the garbage collector off.  The accepted statistic is the
-  median of the per-pair CPU-time ratios: pairing cancels machine
-  drift, the median shrugs off outliers, and process time excludes
-  scheduler preemption, which dominates wall-clock noise on shared
-  CI machines.  Wall seconds are recorded alongside for reference;
-* kernel launches, fused-op count and reduction rounds;
-* bitwise agreement of the final radiation field (the fused vector
-  path is exactly the unfused computation, re-batched).
+* whole-app wall and CPU seconds over repeated runs with the garbage
+  collector off (median, with the MAD and the samples);
+* kernel launches, fused-op count, reduction rounds and iterations.
 
-Besides the rendered text report it records ledger entries through the
-:mod:`repro.perf` harness; the suite snapshot ``BENCH_fused.json`` is
-the machine-readable artifact CI archives for trend tracking, and
-``repro perf check`` gates the recorded launch/reduction counts and
-the paired speedup against ``benchmarks/baselines/fused.json``.
+A jit row records the same run on the compiled tier wherever numba is
+installed.  Besides the rendered text report it records ledger entries
+through the :mod:`repro.perf` harness; the suite snapshot
+``BENCH_fused.json`` is the machine-readable artifact CI archives for
+trend tracking.
 """
 
 import gc
@@ -31,13 +29,12 @@ import numpy as np
 from repro.problems import GaussianPulseProblem
 from repro.v2d import Simulation, V2DConfig
 
-PAIRS = 9
+REPEATS = 9
 #: A deliberately solver-dominant configuration: the large timestep
 #: needs ~13 BiCGSTAB iterations per solve, so >80% of the wall time
-#: sits in the loop the fused layer restructures (at the default
-#: timestep the system build dilutes the fused win below timing noise
-#: -- the same Amdahl dilution the paper reports for whole-app SVE
-#: speedup).
+#: sits in the solver loop (at the default timestep the system build
+#: dilutes it -- the same Amdahl dilution the paper reports for
+#: whole-app SVE speedup).
 CFG = dict(
     scale=1,
     nx1=120,
@@ -50,13 +47,13 @@ CFG = dict(
 )
 
 
-def make_sim(fused: bool, backend: str = "vector") -> Simulation:
-    cfg = V2DConfig.scaled_test_problem(fused=fused, backend=backend, **CFG)
+def make_sim(backend: str = "vector") -> Simulation:
+    cfg = V2DConfig.scaled_test_problem(backend=backend, **CFG)
     return Simulation(cfg, GaussianPulseProblem())
 
 
-def run_once(fused: bool):
-    sim = make_sim(fused)
+def run_once():
+    sim = make_sim()
     gc.collect()
     gc.disable()
     t0 = time.perf_counter()
@@ -79,88 +76,46 @@ def run_once(fused: bool):
 
 
 class TestFusedBenchmark:
-    # NOTE: the comparison must run before the single-shot app
+    # NOTE: the repeated timing must run before the single-shot app
     # benchmarks.  The ``benchmark`` fixture keeps its target
     # simulations alive for the session report, and that retained
-    # memory measurably skews the paired timing if it is already
-    # resident (pytest runs tests in definition order).
-    def test_fused_vs_unfused(self, bench_record, write_report):
-        run_once(True), run_once(False)          # warm-up
-        fused, unfused = run_once(True), run_once(False)
-        walls = {"fused": [fused["wall"]], "unfused": [unfused["wall"]]}
-        cpus = {"fused": [fused["cpu"]], "unfused": [unfused["cpu"]]}
-        for k in range(PAIRS - 1):               # back-to-back timed pairs
-            # Alternate within-pair order so linear machine drift biases
-            # neither side.
-            order = (True, False) if k % 2 else (False, True)
-            for f in order:
-                r = run_once(f)
-                walls["fused" if f else "unfused"].append(r["wall"])
-                cpus["fused" if f else "unfused"].append(r["cpu"])
-        t_fused, t_unfused = min(walls["fused"]), min(walls["unfused"])
-        pair_ratios = sorted(
-            f / u for f, u in zip(cpus["fused"], cpus["unfused"])
-        )
-        ratio = pair_ratios[len(pair_ratios) // 2]
+    # memory measurably skews the timing if it is already resident
+    # (pytest runs tests in definition order).
+    def test_fused_app(self, bench_record, write_report):
+        run_once()                               # warm-up
+        runs = [run_once() for _ in range(REPEATS)]
+        last = runs[-1]
+        walls = [r["wall"] for r in runs]
+        cpus = [r["cpu"] for r in runs]
 
-        # Correctness before speed: same bits, strictly fewer launches,
-        # one reduction round saved in setup per solve.
-        assert fused["converged"] and unfused["converged"]
-        np.testing.assert_array_equal(fused["E"], unfused["E"])
-        assert fused["iterations"] == unfused["iterations"]
-        assert fused["fused_ops"] > 0 and unfused["fused_ops"] == 0
-        assert fused["kernel_calls"] < unfused["kernel_calls"]
-        assert fused["reduction_rounds"] < unfused["reduction_rounds"]
+        # Every run is the same computation: same bits, same counts.
+        for r in runs:
+            assert r["converged"]
+            np.testing.assert_array_equal(r["E"], last["E"])
+            for key in ("kernel_calls", "fused_ops", "iterations",
+                        "reduction_rounds"):
+                assert r[key] == last[key], key
+        assert last["fused_ops"] > 0
 
-        # Ledger entries: one per variant (times + structural counts)
-        # plus the paired comparison.  The suite snapshot
-        # BENCH_fused.json is the CI trend artifact.
+        # The suite snapshot BENCH_fused.json is the CI trend artifact.
         from repro.perf import Metric, mad, median
 
-        config = {**CFG, "backend": "vector", "pairs": PAIRS}
-        for variant, last, w, c in (
-            ("fused", fused, walls["fused"], cpus["fused"]),
-            ("unfused", unfused, walls["unfused"], cpus["unfused"]),
-        ):
-            bench_record.record(
-                f"{variant}_app",
-                {
-                    "wall_seconds": Metric(
-                        value=median(w), kind="time", unit="s",
-                        repeats=len(w), mad=mad(w), samples=sorted(w),
-                    ),
-                    "cpu_seconds": Metric(
-                        value=median(c), kind="time", unit="s",
-                        repeats=len(c), mad=mad(c), samples=sorted(c),
-                    ),
-                    "kernel_launches": (float(last["kernel_calls"]), "count"),
-                    "fused_ops": (float(last["fused_ops"]), "count"),
-                    "reduction_rounds": (
-                        float(last["reduction_rounds"]), "count",
-                    ),
-                    "solver_iterations": (float(last["iterations"]), "count"),
-                },
-                config=config,
-                backend="vector",
-            )
+        config = {**CFG, "backend": "vector", "repeats": REPEATS}
         bench_record.record(
-            "fused_vs_unfused",
+            "fused_app",
             {
-                "cpu_ratio": Metric(
-                    value=ratio, kind="ratio", repeats=len(pair_ratios),
-                    mad=mad(pair_ratios), samples=pair_ratios,
+                "wall_seconds": Metric(
+                    value=median(walls), kind="time", unit="s",
+                    repeats=len(walls), mad=mad(walls), samples=sorted(walls),
                 ),
-                "speedup": (1.0 / ratio, "value"),
-                "bitwise_equal": (1.0, "count"),
-                "launches_saved": (
-                    float(unfused["kernel_calls"] - fused["kernel_calls"]),
-                    "count",
+                "cpu_seconds": Metric(
+                    value=median(cpus), kind="time", unit="s",
+                    repeats=len(cpus), mad=mad(cpus), samples=sorted(cpus),
                 ),
-                "reductions_saved": (
-                    float(unfused["reduction_rounds"]
-                          - fused["reduction_rounds"]),
-                    "count",
-                ),
+                "kernel_launches": (float(last["kernel_calls"]), "count"),
+                "fused_ops": (float(last["fused_ops"]), "count"),
+                "reduction_rounds": (float(last["reduction_rounds"]), "count"),
+                "solver_iterations": (float(last["iterations"]), "count"),
             },
             config=config,
             backend="vector",
@@ -172,48 +127,32 @@ class TestFusedBenchmark:
             "\n".join(
                 [
                     "FUSED KERNELS — whole-app wall time, vector backend",
-                    f"  fused  : {t_fused:.4f} s  "
-                    f"({fused['kernel_calls']} launches, "
-                    f"{fused['reduction_rounds']} reduction rounds)",
-                    f"  unfused: {t_unfused:.4f} s  "
-                    f"({unfused['kernel_calls']} launches, "
-                    f"{unfused['reduction_rounds']} reduction rounds)",
-                    f"  ratio  : {ratio:.3f} "
-                    f"(median fused/unfused CPU-time over {PAIRS} "
-                    f"pairs), results bitwise identical",
-                    f"[json written to {json_path}]",
+                    f"  wall   : {median(walls):.4f} s  "
+                    f"(median of {REPEATS} runs; CPU {median(cpus):.4f} s)",
+                    f"  counts : {last['kernel_calls']} launches, "
+                    f"{last['fused_ops']} fused ops, "
+                    f"{last['reduction_rounds']} reduction rounds, "
+                    f"{last['iterations']} iterations",
+                    f"[json written to {json_path.name}]",
                 ]
             ),
         )
 
-        # The fused path must not be slower: it strictly reduces
-        # launches and allocations, and on an idle machine the median
-        # paired ratio sits at or below one (solver-only, the fused
-        # loop runs ~20% faster).  The structural wins above are
-        # asserted exactly; the timing gate carries enough slack to
-        # absorb the noise floor of loaded single-core CI runners
-        # while still tripping on a real fused-path regression.
-        assert ratio < 1.10
-
     def test_bench_fused_app(self, benchmark):
-        sim = make_sim(True)
-        benchmark.pedantic(sim.run, rounds=1, iterations=1)
-
-    def test_bench_unfused_app(self, benchmark):
-        sim = make_sim(False)
+        sim = make_sim()
         benchmark.pedantic(sim.run, rounds=1, iterations=1)
 
     def test_bench_fused_app_jit(self, benchmark, bench_record):
         # The jit row: the same solver-dominant fused run on the
-        # compiled tier, recorded beside the vector rows so the ledger
-        # carries the three-way comparison wherever numba is installed.
+        # compiled tier, recorded beside the vector row so the ledger
+        # carries the comparison wherever numba is installed.
         # A full warm-up run (not just one call) precedes the timed
         # round so every kernel the app touches is compiled up front.
         import pytest
 
         pytest.importorskip("numba")
-        make_sim(True, backend="jit").run()
-        sim = make_sim(True, backend="jit")
+        make_sim(backend="jit").run()
+        sim = make_sim(backend="jit")
         benchmark.pedantic(sim.run, rounds=1, iterations=1)
         solves = [s for rep in sim.step_reports for s in rep.solves]
         assert all(s.converged for s in solves)

@@ -172,7 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         nx1=args.nx1, nx2=args.nx2, nsteps=args.nsteps, dt=args.dt,
         nprx1=args.nprx1, nprx2=args.nprx2,
         backend=args.backend, precond=args.precond,
-        ganged=not args.classic, fused=not args.unfused,
+        ganged=not args.classic,
         solver_tol=args.tol,
         checkpoint_path=args.checkpoint_path,
         checkpoint_interval=args.checkpoint_interval,
@@ -461,8 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--precond", choices=("spai", "jacobi", "none"), default="spai")
     p.add_argument("--classic", action="store_true",
                    help="textbook BiCGSTAB instead of ganged reductions")
-    p.add_argument("--unfused", action="store_true",
-                   help="separate kernel launches instead of the fused hot path")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--profile", action="store_true")
     p.add_argument("--checkpoint-path", default=None)

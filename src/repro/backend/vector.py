@@ -120,8 +120,8 @@ class VectorBackend(Backend):
                 # work buffer and y is read by the multiply before out
                 # overwrites either.  This association equals the
                 # two-DAXPY composition axpy(b, y, axpy(a, x, z)), so
-                # the solver's fused x-update is bit-identical to the
-                # unfused one.
+                # the solver's one-launch x-update is bit-identical to
+                # two DAXPYs.
                 np.multiply(x, a, out=work)
                 np.add(work, z, out=work)
                 np.multiply(y, b, out=out)

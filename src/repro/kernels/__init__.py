@@ -16,9 +16,9 @@ Matvec used by the full code; :mod:`repro.kernels.driver` is the
 single-processor driver program of Sec. II-F.
 """
 
-from repro.kernels.fused import SolverWorkspace
 from repro.kernels.stencil import MultiSpeciesStencil, StencilCoefficients
 from repro.kernels.suite import KernelSuite
+from repro.kernels.workspace import SolverWorkspace
 from repro.kernels.driver import (
     DriverResult,
     KernelDriver,

@@ -250,8 +250,9 @@ class MultiSpeciesStencil:
         if self.suite.counters is not None:
             # One fused launch, but the event counts are exactly those
             # of the unfused composition (apply + ganged DPROD over the
-            # same pairs): fused-vs-unfused runs must report identical
-            # flops/bytes or their efficiency ratios stop comparing.
+            # same pairs): native and composed backends must report
+            # identical flops/bytes or their efficiency ratios stop
+            # comparing.
             self.suite._account(ns * npts, 9, 48, 8)
             self.suite._account(ns * npts * len(dots), 2, 16, 0, launches=0)
             self.suite.counters.matvecs += 1

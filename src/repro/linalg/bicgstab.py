@@ -29,16 +29,14 @@ Derived norms are validated: whenever the derived residual norm signals
 convergence, the solver recomputes the true residual (one extra Matvec)
 and keeps iterating if rounding in the identities lied.
 
-The ganged variant additionally has a *fused* form (``fused=True``, the
-default): each Matvec and the ganged dots against its result become one
-fused kernel launch (:meth:`LinearOperator.apply_dots`), the two-DAXPY
-solution update becomes one DDAXPY, and all scratch vectors come from a
-preallocated :class:`~repro.kernels.fused.SolverWorkspace` reused
-across solves, so the inner loop is allocation-free.  On the vector
-backend the fused iteration is bit-identical to the unfused ganged one
-(same element operations, same association, same reduction order); on
-the scalar backend the fused DDAXPY reassociates the update, so results
-agree to rounding error.
+Both variants run the same loop.  Every Matvec carries the dots taken
+against its result (:meth:`LinearOperator.apply_dots`, one launch where
+the backend fuses it), every true residual is one DSCAL+norm launch,
+the two-DAXPY solution update is one DDAXPY, and all scratch vectors
+come from a preallocated :class:`~repro.kernels.workspace.SolverWorkspace`
+reused across solves, so the inner loop is allocation-free.  Whether a
+primitive fuses at register level is a backend capability
+(:func:`~repro.backend.native_fused_ops`), not a solver mode.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.kernels.fused import SolverWorkspace
 from repro.kernels.suite import KernelSuite
+from repro.kernels.workspace import SolverWorkspace
 from repro.linalg.operators import LinearOperator
 from repro.linalg.spai import Preconditioner
 from repro.monitor.trace import Tracer
@@ -128,7 +126,6 @@ class SolveResult:
     matvecs: int                  # operator applications (excl. precond)
     precond_applies: int
     breakdowns: int = 0
-    fused: bool = False           # solved via the fused-kernel path
     history: list[float] = field(default_factory=list)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -160,15 +157,10 @@ def _true_residual(
     x: Array,
     suite: KernelSuite,
     dots: DotContext,
-    fused: bool = False,
 ) -> tuple[Array, float]:
-    ax = op.apply(x)
-    if fused:
-        # One launch: residual update + its squared norm.
-        r, rr_local = suite.dscal_norm(b, 1.0, ax)
-        return r, _norm_from_sq(dots.reduce_scalar(rr_local))
-    r = suite.dscal(b, 1.0, ax)  # b - Ax
-    return r, _norm_from_sq(dots.dot(r, r))
+    # One launch: residual update + its squared norm.
+    r, rr_local = suite.dscal_norm(b, 1.0, op.apply(x))
+    return r, _norm_from_sq(dots.reduce_scalar(rr_local))
 
 
 def bicgstab(
@@ -182,7 +174,6 @@ def bicgstab(
     suite: KernelSuite | None = None,
     comm: Communicator | None = None,
     ganged: bool = True,
-    fused: bool = True,
     workspace: SolverWorkspace | None = None,
     max_restarts: int = 10,
     callback: Callable[[int, float], None] | None = None,
@@ -213,12 +204,8 @@ def bicgstab(
     ganged:
         Use V2D's restructured two-reduction iteration (default) or the
         textbook six-reduction one.
-    fused:
-        With ``ganged``, run the fused-kernel hot path: Matvec + ganged
-        dots in one launch, DDAXPY solution updates, and workspace
-        reuse.  Ignored for the textbook variant.
     workspace:
-        Preallocated :class:`~repro.kernels.fused.SolverWorkspace` to
+        Preallocated :class:`~repro.kernels.workspace.SolverWorkspace` to
         reuse across solves (one is created per call when omitted).
     max_restarts:
         BiCGSTAB breakdown recoveries (``rho ~ 0``) before giving up.
@@ -235,7 +222,6 @@ def bicgstab(
         suite = getattr(op, "suite", None) or KernelSuite()
     if b.shape != tuple(op.operand_shape):
         raise ValueError(f"rhs shape {b.shape} != operand shape {op.operand_shape}")
-    use_fused = fused and ganged
     dots = DotContext(suite, comm)
     if suite.counters is not None:
         suite.counters.linear_solves += 1
@@ -246,77 +232,58 @@ def bicgstab(
 
     x = b * 0.0 if x0 is None else x0.copy()
     if x0 is None:
+        # r is a fresh copy of b, so (r, r) is (b, b) -- one reduction
+        # covers both.
         r = b.copy()
+        bb = rr = float(dots.dot(b, b))
     else:
         r = op.apply(x)
         mv += 1
         r = suite.dscal(b, 1.0, r)  # r = b - A x0
-
-    rr: float | None = None
-    if use_fused:
-        if x0 is None:
-            # r is a fresh copy of b, so (r, r) is (b, b) -- one
-            # reduction covers both.
-            bb = dots.dot(b, b)
-            rr = float(bb)
-        else:
-            bb, rr = (float(val) for val in dots.gang([(b, b), (r, r)]))
-    else:
-        bb = dots.dot(b, b)
-    bnorm = _norm_from_sq(float(bb))
+        bb, rr = (float(val) for val in dots.gang([(b, b), (r, r)]))
+    bnorm = _norm_from_sq(bb)
     if bnorm == 0.0:
         # Zero RHS: the solution is zero (relative residual undefined;
         # report absolute zero residual).
         return SolveResult(
             x=np.zeros_like(b), converged=True, iterations=0, residual_norm=0.0,
             relative_residual=0.0, reductions=dots.reductions, matvecs=mv,
-            precond_applies=0, fused=use_fused,
+            precond_applies=0,
         )
     target = tol * bnorm
 
-    if rr is None:
-        rr = dots.dot(r, r)
-    rnorm = _norm_from_sq(float(rr))
+    rnorm = _norm_from_sq(rr)
     if not (np.isfinite(bnorm) and np.isfinite(rnorm)):
         # Poisoned rhs or initial guess: nothing to iterate on.
         return SolveResult(
             x=x, converged=False, iterations=0, residual_norm=rnorm,
             relative_residual=rnorm / bnorm if bnorm else np.inf,
             reductions=dots.reductions, matvecs=mv, precond_applies=0,
-            fused=use_fused, history=[rnorm],
+            history=[rnorm],
         )
     if rnorm <= target:
         return SolveResult(
             x=x, converged=True, iterations=0, residual_norm=rnorm,
             relative_residual=rnorm / bnorm, reductions=dots.reductions,
-            matvecs=mv, precond_applies=0, fused=use_fused, history=[rnorm],
+            matvecs=mv, precond_applies=0, history=[rnorm],
         )
 
     rhat = r.copy()
     rho = rr          # (rhat, r) with rhat = r
-    wbuf: Array | None = None
-    if use_fused:
-        # All inner-loop scratch comes from the reusable workspace, so
-        # iterating allocates nothing (x/r/rhat stay fresh: x escapes
-        # via the result and r is rebound on restarts).
-        ws = workspace if workspace is not None else SolverWorkspace()
-        ws.ensure(b.shape, dtype=b.dtype)
-        p = ws.array("p")
-        p[...] = r
-        v = ws.array("v")
-        v[...] = 0.0
-        phat = ws.array("phat")
-        shat = ws.array("shat")
-        s = ws.array("s")
-        t = ws.array("t")
-        wbuf = ws.array("work")
-    else:
-        p = r.copy()
-        v = np.zeros_like(b)
-        phat = np.empty_like(b)
-        shat = np.empty_like(b)
-        s = np.empty_like(b)
-        t = np.empty_like(b)
+    # All inner-loop scratch comes from the reusable workspace, so
+    # iterating allocates nothing (x/r/rhat stay fresh: x escapes via
+    # the result and r is rebound on restarts).
+    ws = workspace if workspace is not None else SolverWorkspace()
+    ws.ensure(b.shape, dtype=b.dtype)
+    p = ws.array("p")
+    p[...] = r
+    v = ws.array("v")
+    v[...] = 0.0
+    phat = ws.array("phat")
+    shat = ws.array("shat")
+    s = ws.array("s")
+    t = ws.array("t")
+    wbuf = ws.array("work")
     alpha = omega = 1.0
     converged = False
     it = 0
@@ -347,7 +314,7 @@ def bicgstab(
             )
         if breakdowns > max_restarts:
             return False
-        r, rnorm = _true_residual(op, b, x, suite, dots, fused=use_fused)
+        r, rnorm = _true_residual(op, b, x, suite, dots)
         mv += 1
         if not np.isfinite(rnorm):
             # The iterate itself is poisoned; restarting from it cannot
@@ -363,18 +330,13 @@ def bicgstab(
     while it < maxiter:
         it += 1
 
+        # v = A phat, with the dots against v riding the same launch.
         precond(p, phat)
-        if use_fused:
-            # One launch: Matvec + the three ganged dots on its result.
+        if ganged:
             _, (rhv, rv, vv) = dots.gang_matvec(op, phat, [rhat, r, None], out=v)
-            mv += 1
         else:
-            op.apply(phat, out=v)
-            mv += 1
-            if ganged:
-                rhv, rv, vv = dots.gang([(rhat, v), (r, v), (v, v)])
-            else:
-                rhv = dots.dot(rhat, v)
+            _, (rhv,) = dots.gang_matvec(op, phat, [rhat], out=v)
+        mv += 1
         if rhv == 0.0 or not np.isfinite(rhv):
             if not restart():
                 break
@@ -395,7 +357,7 @@ def bicgstab(
 
         if snorm <= target:
             suite.daxpy(alpha, phat, x, out=x, work=wbuf)
-            r, rnorm = _true_residual(op, b, x, suite, dots, fused=use_fused)
+            r, rnorm = _true_residual(op, b, x, suite, dots)
             mv += 1
             rr = rnorm * rnorm
             history.append(rnorm)
@@ -410,50 +372,36 @@ def bicgstab(
                 break
             continue
 
+        # t = A shat; ganged, (s, s) and (rhat, s) ride along as
+        # independent pairs.
         precond(s, shat)
-        if use_fused:
-            # One launch: Matvec + the five ganged dots ((s, s) and
-            # (rhat, s) ride along as independent pairs).
+        if ganged:
             _, (ts, tt, ss, rhs_, rht) = dots.gang_matvec(
                 op, shat, [s, None, (s, s), (rhat, s), rhat], out=t
             )
-            mv += 1
         else:
-            op.apply(shat, out=t)
-            mv += 1
-            if ganged:
-                ts, tt, ss, rhs_, rht = dots.gang(
-                    [(t, s), (t, t), (s, s), (rhat, s), (rhat, t)]
-                )
-            else:
-                ts = dots.dot(t, s)
-                tt = dots.dot(t, t)
+            _, (ts,) = dots.gang_matvec(op, shat, [s], out=t)
+            tt = dots.dot(t, t)
+        mv += 1
         if tt == 0.0 or not np.isfinite(tt) or not np.isfinite(ts):
             if not restart():
                 break
             continue
         omega = ts / tt
 
-        # x += alpha*phat + omega*shat
-        if use_fused:
-            # One DDAXPY launch; on the vector backend its association
-            # (omega*shat + (alpha*phat + x)) matches the two-DAXPY
-            # composition bit for bit.
-            suite.ddaxpy(alpha, phat, omega, shat, x, out=x, work=wbuf)
-        else:
-            suite.daxpy(alpha, phat, x, out=x)
-            suite.daxpy(omega, shat, x, out=x)
+        # x += alpha*phat + omega*shat in one DDAXPY launch; on the
+        # vector backend its association (omega*shat + (alpha*phat + x))
+        # matches the two-DAXPY composition bit for bit.
+        suite.ddaxpy(alpha, phat, omega, shat, x, out=x, work=wbuf)
         # r = s - omega t
         suite.dscal(s, omega, t, out=r)
 
         if ganged:
             rr = max(ss - 2.0 * omega * ts + omega * omega * tt, 0.0)
             rnorm = float(np.sqrt(rr))
-            rho_next = rhs_ - omega * rht
         else:
             rr = dots.dot(r, r)
             rnorm = _norm_from_sq(float(rr))
-            rho_next = None
 
         history.append(rnorm)
         trace_iter(it, rnorm)
@@ -466,7 +414,7 @@ def bicgstab(
             continue
 
         if rnorm <= target:
-            r, rnorm = _true_residual(op, b, x, suite, dots, fused=use_fused)
+            r, rnorm = _true_residual(op, b, x, suite, dots)
             mv += 1
             rr = rnorm * rnorm
             if rnorm <= target:
@@ -481,10 +429,7 @@ def bicgstab(
                 break
             continue
 
-        if ganged:
-            rho_new = rho_next
-        else:
-            rho_new = dots.dot(rhat, r)
+        rho_new = rhs_ - omega * rht if ganged else dots.dot(rhat, r)
         if rho_new == 0.0 or not np.isfinite(rho_new):
             if not restart():
                 break
@@ -496,7 +441,7 @@ def bicgstab(
         rho = rho_new
 
     if not converged:
-        _, rnorm = _true_residual(op, b, x, suite, dots, fused=use_fused)
+        _, rnorm = _true_residual(op, b, x, suite, dots)
         mv += 1
         converged = rnorm <= target
 
@@ -513,6 +458,5 @@ def bicgstab(
         matvecs=mv,
         precond_applies=mapplies,
         breakdowns=breakdowns,
-        fused=use_fused,
         history=history,
     )

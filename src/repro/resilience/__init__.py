@@ -11,7 +11,7 @@ both halves of that story:
   corruption (:class:`FaultyBackend`), message-level comm faults
   (:class:`FaultyCommunicator`), and checkpoint-write io faults -- and
 * a **layered recovery policy**: BiCGSTAB breakdown restarts, the
-  solver escalation ladder (fused -> unfused -> GMRES,
+  solver escalation ladder (BiCGSTAB -> restarted BiCGSTAB -> GMRES,
   :func:`solve_with_escalation`), step-level dt backoff
   (:class:`RetryPolicy`), and run-level checkpoint rollback, each
   observable through :class:`ResilienceReport`.

@@ -31,7 +31,8 @@ class ResilienceConfig:
     numeric_kinds:
         Corruption styles for numeric/comm payload faults.
     escalation:
-        Arm the solver-level ladder (fused -> unfused -> GMRES).
+        Arm the solver-level ladder (BiCGSTAB -> restarted BiCGSTAB ->
+        GMRES).
     retry:
         Step-level dt-backoff policy.
     max_rollbacks:

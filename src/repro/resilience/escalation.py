@@ -6,10 +6,11 @@ iterate, the signature of injected numeric/comm corruption -- the
 ladder degrades outward through progressively more conservative
 methods:
 
-1. **fused BiCGSTAB** (the production hot path),
-2. **unfused ganged BiCGSTAB** from the pristine initial guess (same
-   math, separate kernel launches -- sidesteps corruption localized in
-   the fused path or its reused workspace),
+1. **BiCGSTAB** (the caller's ganged or classic variant, on the
+   shared workspace),
+2. **BiCGSTAB restarted** from the pristine initial guess with a fresh
+   workspace (same math -- sidesteps corruption localized in the
+   failed iterate or the reused scratch vectors),
 3. **GMRES(m)** (monotone residuals, no breakdowns) as the fallback of
    last resort.
 
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.fused import SolverWorkspace
 from repro.kernels.suite import KernelSuite
+from repro.kernels.workspace import SolverWorkspace
 from repro.linalg.bicgstab import SolveResult, bicgstab
 from repro.linalg.gmres import gmres
 from repro.linalg.operators import LinearOperator
@@ -42,7 +43,7 @@ from repro.parallel.comm import Communicator, ReduceOp
 Array = np.ndarray
 
 #: Ladder rungs, in escalation order.
-LADDER = ("bicgstab-fused", "bicgstab-unfused", "gmres")
+LADDER = ("bicgstab", "bicgstab-restart", "gmres")
 
 
 @dataclass
@@ -120,7 +121,6 @@ def solve_with_escalation(
     suite: KernelSuite | None = None,
     comm: Communicator | None = None,
     ganged: bool = True,
-    fused: bool = True,
     workspace: SolverWorkspace | None = None,
     gmres_restart: int = 30,
     counters: Counters | None = None,
@@ -130,9 +130,9 @@ def solve_with_escalation(
 ) -> SolveStats:
     """Run the solver ladder; returns the per-attempt record.
 
-    The first rung honours the caller's ``ganged``/``fused`` choice; a
-    failure degrades to the unfused ganged iteration (when the first
-    rung was fused) and then to GMRES.  Escalations are counted into
+    Both BiCGSTAB rungs run the caller's ``ganged`` choice: the first
+    on the shared ``workspace``, the restart on a fresh one.  A second
+    failure falls back to GMRES.  Escalations are counted into
     ``counters`` (``solver_escalations`` / ``solver_fallbacks``).
     Every retry restarts from the caller's pristine ``x0`` -- the
     solvers never mutate it -- so corruption in a failed iterate
@@ -169,28 +169,21 @@ def solve_with_escalation(
             )
             get_metrics().inc(f"repro.resilience.{event}s")
 
-    use_fused = fused and ganged
-    first = "bicgstab-fused" if use_fused else (
-        "bicgstab-unfused" if ganged else "bicgstab-classic"
-    )
-    if attempt(first, lambda: bicgstab(
-        op, b, x0=x0, tol=tol, maxiter=maxiter, M=M, suite=suite, comm=comm,
-        ganged=ganged, fused=use_fused,
-        workspace=workspace if use_fused else None,
-        tracer=tracer, trace_rank=trace_rank,
-    )):
+    def run_bicgstab(ws: SolverWorkspace | None) -> SolveResult:
+        return bicgstab(
+            op, b, x0=x0, tol=tol, maxiter=maxiter, M=M, suite=suite,
+            comm=comm, ganged=ganged, workspace=ws,
+            tracer=tracer, trace_rank=trace_rank,
+        )
+
+    if attempt("bicgstab", lambda: run_bicgstab(workspace)):
         return stats
 
-    if use_fused:
-        if counters is not None:
-            counters.solver_escalations += 1
-        mark("solver_escalation")
-        if attempt("bicgstab-unfused", lambda: bicgstab(
-            op, b, x0=x0, tol=tol, maxiter=maxiter, M=M, suite=suite, comm=comm,
-            ganged=True, fused=False,
-            tracer=tracer, trace_rank=trace_rank,
-        )):
-            return stats
+    if counters is not None:
+        counters.solver_escalations += 1
+    mark("solver_escalation")
+    if attempt("bicgstab-restart", lambda: run_bicgstab(None)):
+        return stats
 
     if counters is not None:
         counters.solver_fallbacks += 1

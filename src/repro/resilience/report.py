@@ -2,7 +2,7 @@
 
 Everything the harness does is counted -- injections by site,
 recoveries at the transport, solver, step and run layers, and the wall
-time spent off the production (fused) path -- so a chaos sweep can
+time spent past the first BiCGSTAB attempt -- so a chaos sweep can
 assert "the run completed *and* the machinery actually worked" rather
 than "nothing happened to fail".
 """
@@ -100,6 +100,6 @@ class ResilienceReport:
         if self.degraded_solves:
             lines.append(
                 f"  degraded mode: {self.degraded_solves} solves, "
-                f"{self.degraded_seconds:.3f} s off the fused path"
+                f"{self.degraded_seconds:.3f} s past the first solver attempt"
             )
         return "\n".join(lines)

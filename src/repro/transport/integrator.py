@@ -34,8 +34,8 @@ import numpy as np
 
 from repro.grid.field import Field
 from repro.grid.mesh import Mesh2D
-from repro.kernels.fused import SolverWorkspace
 from repro.kernels.suite import KernelSuite
+from repro.kernels.workspace import SolverWorkspace
 from repro.linalg.bicgstab import SolveResult, bicgstab
 from repro.linalg.operators import LinearOperator, StencilOperator
 from repro.linalg.spai import (
@@ -190,7 +190,8 @@ class RadiationIntegrator:
         every hot path on its uninstrumented branch.
     escalate:
         Arm solver-level recovery: a failed or non-finite solve walks
-        the escalation ladder (fused -> unfused -> GMRES) and each
+        the escalation ladder (BiCGSTAB -> restarted BiCGSTAB -> GMRES)
+        and each
         step's committed state passes a global validity gate.  Off by
         default -- the un-armed integrator is bit-identical to one
         without the resilience machinery.
@@ -209,7 +210,6 @@ class RadiationIntegrator:
         solver_tol: float = 1e-8,
         solver_maxiter: int = 500,
         ganged: bool = True,
-        fused: bool = True,
         coupling_rate: float = 0.0,
         couple_matter: bool = False,
         c_light: float = 1.0,
@@ -233,9 +233,8 @@ class RadiationIntegrator:
         self.solver_tol = solver_tol
         self.solver_maxiter = solver_maxiter
         self.ganged = ganged
-        self.fused = fused
-        # One workspace for every solve of every step: the fused solver
-        # reuses its scratch vectors instead of reallocating them.
+        # One workspace for every solve of every step: the solver reuses
+        # its scratch vectors instead of reallocating them.
         self._workspace = SolverWorkspace()
         self.coupling = (
             basis.pair_coupling_matrix(coupling_rate) if coupling_rate > 0 else None
@@ -247,8 +246,8 @@ class RadiationIntegrator:
         self.emission = emission
         self.profiler = profiler
         self.tracer = tracer
-        # Solver-level recovery: degrade fused -> unfused -> GMRES
-        # instead of committing a failed solve.
+        # Solver-level recovery: restart BiCGSTAB, then fall back to
+        # GMRES, instead of committing a failed solve.
         self.escalate = escalate
         self.solve_stats: list[SolveStats] = []
         self.degraded_solves = 0
@@ -361,7 +360,6 @@ class RadiationIntegrator:
                     suite=self.suite,
                     comm=self.comm,
                     ganged=self.ganged,
-                    fused=self.fused,
                     workspace=self._workspace,
                     counters=self.suite.counters,
                     site=site,
@@ -390,7 +388,6 @@ class RadiationIntegrator:
                 suite=self.suite,
                 comm=self.comm,
                 ganged=self.ganged,
-                fused=self.fused,
                 workspace=self._workspace,
                 tracer=self.tracer,
                 trace_rank=self.rank,

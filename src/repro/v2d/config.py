@@ -56,7 +56,6 @@ class V2DConfig:
     vector_bits: int = 512           # A64FX SVE implementation width
     precond: str = "spai"            # "spai" | "jacobi" | "none"
     ganged: bool = True              # restructured (ganged-reduction) BiCGSTAB
-    fused: bool = True               # fused-kernel solver hot path
     solver_tol: float = 1e-8
     solver_maxiter: int = 500
 

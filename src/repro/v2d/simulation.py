@@ -173,7 +173,6 @@ class Simulation:
             solver_tol=config.solver_tol,
             solver_maxiter=config.solver_maxiter,
             ganged=config.ganged,
-            fused=config.fused,
             coupling_rate=config.coupling_rate,
             couple_matter=config.couple_matter,
             c_light=config.c_light,

@@ -391,10 +391,16 @@ class TestCampaignCLI:
         }))
         cache_dir = str(tmp_path / "cache")
         bench = str(tmp_path / "BENCH_campaign.json")
+        # An explicit ledger keeps the run out of the tracked
+        # benchmarks/_reports/ directory.
+        ledger = tmp_path / "ledger"
         args = ["campaign", "run", str(spec_file),
-                "--cache-dir", cache_dir, "--output", bench]
+                "--cache-dir", cache_dir, "--output", bench,
+                "--ledger", str(ledger)]
         assert cli_main(args) == 0
         assert "cache hits: 0/2" in capsys.readouterr().out
+        assert (ledger / "BENCH_campaign.json").is_file()
+        assert (ledger / "BENCH_history.jsonl").is_file()
         assert cli_main(args) == 0
         assert "cache hits: 2/2" in capsys.readouterr().out
 
@@ -433,8 +439,10 @@ class TestCampaignCLI:
         }))
         rc = cli_main(["campaign", "run", str(spec_file),
                        "--cache-dir", str(tmp_path / "cache"),
-                       "--output", str(tmp_path / "b.json")])
+                       "--output", str(tmp_path / "b.json"),
+                       "--ledger", str(tmp_path / "ledger")])
         assert rc == 1
+        assert (tmp_path / "ledger" / "BENCH_campaign.json").is_file()
         out = capsys.readouterr().out
         assert "quarantined" in out and "1/2 ok" in out
 

@@ -95,8 +95,11 @@ class TestConfigSerialization:
         assert back.nunknowns == 40_000
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            V2DConfig.from_dict({"nx1": 4, "nx2": 4, "frobnicate": True})
+        # Fusion is a backend capability, not a config key: a wire or
+        # JSON config that carries "fused" fails loudly.
+        for key in ("frobnicate", "fused"):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+                V2DConfig.from_dict({"nx1": 4, "nx2": 4, key: True})
 
     def test_limiter_none_roundtrip(self):
         cfg = V2DConfig(nx1=8, nx2=8)

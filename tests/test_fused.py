@@ -1,19 +1,22 @@
 """Regression suite for the fused-kernel solver hot path.
 
-Four contracts are pinned here:
+Fusion is a backend capability (:func:`native_fused_ops`), not a
+solver mode: ``bicgstab`` runs one loop on every backend.  Four
+contracts are pinned here:
 
-1. **Fused == unfused composition.**  Every fused backend primitive
+1. **Native == composed primitive.**  Every fused backend primitive
    (``axpy_dot``, ``dscal_dot``, ``stencil_apply_dots``) computes
-   exactly what the composition of its unfused parts computes --
-   bit-identical in float64 on both backends, since the scalar
-   backend's in-loop accumulation preserves element order and the
+   exactly what the base-class composition ``Backend.<op>`` computes
+   -- bit-identical in float64 on every backend, since the scalar and
+   jit backends' in-loop accumulation preserves element order and the
    vector backend's whole-array path is the composition.  Property
    tests (hypothesis) sweep shapes, values and dtypes.
-2. **Fused solver == unfused solver.**  ``bicgstab(fused=True)``
-   reproduces ``fused=False`` bitwise on the vector backend and to
-   reassociation error on the scalar backend, serial and decomposed.
-3. **Fewer launches, fewer reductions.**  The fused path strictly
-   reduces kernel launches, and the ganged path performs
+2. **Native solver == composed solver.**  A solve on each backend
+   reproduces, bit for bit, the same solve on a test-only subclass
+   that inherits every fused primitive from :class:`Backend`, for
+   both the ganged and the classic iteration.
+3. **Fused launches, fewer reductions.**  Every solver Matvec is one
+   launch carrying its dots, and the ganged path performs
    ``REDUCTIONS_PER_ITER_GANGED`` (2) reduction rounds per iteration
    against the textbook's 6 -- counted both serially and as actual
    allreduce rounds in an SPMD run.
@@ -31,6 +34,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.backend import (
     FUSED_PRIMITIVES,
+    Backend,
     JitBackend,
     ScalarBackend,
     VectorBackend,
@@ -38,12 +42,7 @@ from repro.backend import (
     numba_available,
 )
 from repro.kernels import KernelSuite, SolverWorkspace
-from repro.kernels.fused import (
-    WORKSPACE_NAMES,
-    unfused_axpy_dot,
-    unfused_dscal_dot,
-    unfused_stencil_apply_dots,
-)
+from repro.kernels.workspace import WORKSPACE_NAMES
 from repro.linalg import StencilOperator, bicgstab
 from repro.linalg.bicgstab import (
     REDUCTIONS_PER_ITER_CLASSIC,
@@ -57,7 +56,7 @@ from repro.v2d import Simulation, V2DConfig
 
 SCALAR, VECTOR = ScalarBackend(), VectorBackend()
 
-#: The jit tier joins the primitive-level fused==unfused sweeps via its
+#: The jit tier joins the primitive-level native==composed sweeps via its
 #: pure-Python kernel mode (same loop bodies, no numba needed); a
 #: compiled instance is added whenever numba is actually installed so
 #: the njit code paths get the identical property coverage.
@@ -83,7 +82,7 @@ def vecs(k, n_min=1, n_max=48, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# 1. Fused primitives == unfused compositions (property tests).
+# 1. Native fused primitives == base-class compositions (property tests).
 # ---------------------------------------------------------------------------
 class TestFusedPrimitiveProperties:
     @pytest.mark.parametrize("bk", PRIM_BACKENDS, ids=PRIM_IDS)
@@ -91,7 +90,7 @@ class TestFusedPrimitiveProperties:
     def test_axpy_dot_norm_form(self, bk, xy, a):
         x, y = xy
         out_f, dot_f = bk.axpy_dot(a, x, y)
-        out_u, dot_u = unfused_axpy_dot(bk, a, x, y)
+        out_u, dot_u = Backend.axpy_dot(bk, a, x, y)
         np.testing.assert_array_equal(out_f, out_u)
         assert dot_f == dot_u  # float64: bitwise
 
@@ -100,7 +99,7 @@ class TestFusedPrimitiveProperties:
     def test_axpy_dot_weighted_form(self, bk, xyw, a):
         x, y, w = xyw
         out_f, dot_f = bk.axpy_dot(a, x, y, w=w)
-        out_u, dot_u = unfused_axpy_dot(bk, a, x, y, w=w)
+        out_u, dot_u = Backend.axpy_dot(bk, a, x, y, w=w)
         np.testing.assert_array_equal(out_f, out_u)
         assert dot_f == dot_u
 
@@ -110,7 +109,7 @@ class TestFusedPrimitiveProperties:
         c, y, w = cyw
         for kw in ({}, {"w": w}):
             out_f, dot_f = bk.dscal_dot(c, d, y, **kw)
-            out_u, dot_u = unfused_dscal_dot(bk, c, d, y, **kw)
+            out_u, dot_u = Backend.dscal_dot(bk, c, d, y, **kw)
             np.testing.assert_array_equal(out_f, out_u)
             assert dot_f == dot_u
 
@@ -121,7 +120,7 @@ class TestFusedPrimitiveProperties:
         # store.  Outputs stay bitwise; dots agree to float32 rounding.
         x, y = xy
         out_f, dot_f = SCALAR.axpy_dot(a, x, y)
-        out_u, dot_u = unfused_axpy_dot(SCALAR, a, x, y)
+        out_u, dot_u = Backend.axpy_dot(SCALAR, a, x, y)
         assert out_f.dtype == np.float32
         np.testing.assert_array_equal(out_f, out_u)
         assert dot_f == pytest.approx(dot_u, rel=1e-4, abs=1e-10)
@@ -144,7 +143,7 @@ class TestFusedPrimitiveProperties:
         spec = {"norm": None, "weighted": w, "pair": (p, q)}
         dots = [spec[name] for name in which]
         out_f, dots_f = bk.stencil_apply_dots(*bands, xpad, dots)
-        out_u, dots_u = unfused_stencil_apply_dots(bk, *bands, xpad, dots)
+        out_u, dots_u = Backend.stencil_apply_dots(bk, *bands, xpad, dots)
         np.testing.assert_array_equal(out_f, out_u)
         np.testing.assert_array_equal(dots_f, dots_u)
 
@@ -189,8 +188,13 @@ class TestFusedRegistry:
     def test_vector_backend_uses_reference_compositions(self):
         # ... while whole-array NumPy cannot express register-level
         # fusion, so the vector backend inherits the compositions
-        # (making fused==unfused trivially bitwise there).
+        # (making native==composed trivially bitwise there).
         assert native_fused_ops(VECTOR) == ()
+
+    def test_composed_subclasses_have_no_native_ops(self):
+        # The reference side of the solver-level comparisons below.
+        for _, ref in NATIVE_VS_COMPOSED.values():
+            assert native_fused_ops(ref) == ()
 
     def test_jit_backend_fuses_all_three_primitives(self):
         # The jit tier is the one backend that fuses at compiled
@@ -215,76 +219,120 @@ class TestSolverWorkspace:
         assert ws.allocations == 2
 
     def test_solver_reuses_workspace_across_solves(self):
+        # Both variants draw their scratch from the one workspace.
         coeffs = diffusion_coeffs(ns=1, n1=10, n2=8, coupled=False, seed=2)
         rhs = np.random.default_rng(2).standard_normal((1, 10, 8))
         ws = SolverWorkspace()
-        for _ in range(3):
-            res = bicgstab(StencilOperator(coeffs), rhs, tol=1e-10, workspace=ws)
-            assert res.converged and res.fused
+        for ganged in (True, True, True, False, False):
+            res = bicgstab(
+                StencilOperator(coeffs), rhs, tol=1e-10, ganged=ganged,
+                workspace=ws,
+            )
+            assert res.converged
         assert ws.allocations == 1
-        assert ws.reuses == 2
+        assert ws.reuses == 4
 
 
 # ---------------------------------------------------------------------------
 # 2 & 3. Whole-solver equivalence and launch/reduction counting.
 # ---------------------------------------------------------------------------
-def _solve(backend, *, fused, ganged=True, coupled=False):
-    coeffs = diffusion_coeffs(ns=2, n1=12, n2=9, coupled=coupled, seed=5)
-    rhs = np.random.default_rng(11).standard_normal((2, 12, 9))
+def _composed(cls):
+    """Test-only subclass of ``cls`` that inherits every fused
+    primitive from :class:`Backend`, i.e. runs the reference
+    compositions wherever ``cls`` fuses natively."""
+    return type(
+        f"Composed{cls.__name__}",
+        (cls,),
+        {name: getattr(Backend, name) for name in FUSED_PRIMITIVES},
+    )
+
+
+#: id -> (native backend, composed twin) for the solver-level comparison.
+NATIVE_VS_COMPOSED = {
+    "vector": (VECTOR, _composed(VectorBackend)()),
+    "scalar": (SCALAR, _composed(ScalarBackend)()),
+    "jit-py": (JIT_PY, _composed(JitBackend)(force_python=True)),
+}
+
+#: Operator cases: two species (the stencil's per-species path), two
+#: coupled species (apply + ganged DPROD), and one species (the whole
+#: sweep handed to a backend's native ``stencil_apply_dots``).
+CASES = {"uncoupled": (2, False), "coupled": (2, True), "single-species": (1, False)}
+
+
+def _solve(backend, *, ganged=True, case="uncoupled", x0=None):
+    ns, coupled = CASES[case]
+    coeffs = diffusion_coeffs(ns=ns, n1=12, n2=9, coupled=coupled, seed=5)
+    rhs = np.random.default_rng(11).standard_normal((ns, 12, 9))
     counters = Counters()
     suite = KernelSuite(backend, counters=counters)
     op = StencilOperator(coeffs, suite=suite)
-    res = bicgstab(op, rhs, tol=1e-10, suite=suite, ganged=ganged, fused=fused)
+    res = bicgstab(op, rhs, x0=x0, tol=1e-10, suite=suite, ganged=ganged)
     assert res.converged
     return res, counters
 
 
+def _assert_native_equals_composed(label, case):
+    native, composed = NATIVE_VS_COMPOSED[label]
+    for ganged in (True, False):
+        res_n, cn = _solve(native, ganged=ganged, case=case)
+        res_c, cc = _solve(composed, ganged=ganged, case=case)
+        assert res_n.iterations == res_c.iterations
+        assert res_n.reductions == res_c.reductions
+        np.testing.assert_array_equal(res_n.x, res_c.x)
+        assert res_n.residual_norm == res_c.residual_norm
+        assert res_n.history == res_c.history
+        # Accounting is a work model: where a primitive runs natively
+        # must not change a single event count.
+        assert cn.snapshot() == cc.snapshot()
+
+
 class TestFusedSolverEquivalence:
-    @pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
-    def test_vector_fused_is_bitwise_identical(self, coupled):
-        fused, _ = _solve("vector", fused=True, coupled=coupled)
-        unfused, _ = _solve("vector", fused=False, coupled=coupled)
-        assert fused.fused and not unfused.fused
-        assert fused.iterations == unfused.iterations
-        np.testing.assert_array_equal(fused.x, unfused.x)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_vector_fused_is_bitwise_identical(self, case):
+        _assert_native_equals_composed("vector", case)
 
-    @pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
-    def test_scalar_fused_matches_to_reassociation(self, coupled):
-        # The scalar backend's native fusions consume register values;
-        # the only divergence is DDAXPY reassociation in the update.
-        fused, _ = _solve("scalar", fused=True, coupled=coupled)
-        unfused, _ = _solve("scalar", fused=False, coupled=coupled)
-        assert fused.iterations == unfused.iterations
-        np.testing.assert_allclose(fused.x, unfused.x, rtol=1e-12, atol=1e-13)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_scalar_fused_is_bitwise_identical(self, case):
+        _assert_native_equals_composed("scalar", case)
 
-    def test_fused_reduces_kernel_launches(self):
-        fused, cf = _solve("vector", fused=True)
-        unfused, cu = _solve("vector", fused=False)
-        assert cf.fused_ops > 0 and cu.fused_ops == 0
-        assert cf.kernel_calls < cu.kernel_calls
-        # Each iteration fuses one matvec+gang and one DDAXPY+norm pair,
-        # plus the DDAXPY p-update rides the workspace: >= 3 launches
-        # saved per iteration.
-        assert cu.kernel_calls - cf.kernel_calls >= 3 * fused.iterations
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_jit_fused_is_bitwise_identical(self, case):
+        _assert_native_equals_composed("jit-py", case)
+
+    @pytest.mark.parametrize("ganged", [True, False], ids=["ganged", "classic"])
+    def test_every_matvec_is_one_fused_launch(self, ganged):
+        # Each loop Matvec carries its dots (apply_dots) and each true
+        # residual is one DSCAL+norm launch, so with x0 = None every
+        # Matvec the solver counts pairs with exactly one fused launch.
+        res, c = _solve("vector", ganged=ganged)
+        assert c.matvecs == res.matvecs
+        assert c.fused_ops == res.matvecs
 
     def test_fused_setup_saves_a_reduction(self):
-        # With x0 = None the fused setup covers ||b|| and (r, r) with
-        # one reduction (r == b); the unfused path pays them separately.
-        fused, _ = _solve("vector", fused=True)
-        unfused, _ = _solve("vector", fused=False)
-        assert fused.reductions == unfused.reductions - 1
+        # The setup takes ||b|| and (r, r) in one reduction in both
+        # variants: with x0 = None r is b, otherwise the two ride one
+        # gang.  A zero x0 costs one Matvec more and no reduction more.
+        for ganged in (True, False):
+            cold, _ = _solve("vector", ganged=ganged)
+            warm, _ = _solve("vector", ganged=ganged, x0=np.zeros((2, 12, 9)))
+            assert warm.iterations == cold.iterations
+            assert warm.reductions == cold.reductions
+            assert warm.matvecs == cold.matvecs + 1
 
 
 class TestReductionCounts:
     def test_ganged_two_rounds_per_iteration_classic_six(self):
-        ganged, _ = _solve("vector", fused=True, ganged=True)
-        classic, _ = _solve("vector", fused=False, ganged=False)
-        # Setup costs 2 rounds in both (||b|| with (r,r), final check).
+        ganged, _ = _solve("vector", ganged=True)
+        classic, _ = _solve("vector", ganged=False)
+        # Setup costs 1 round in both (||b|| with (r,r)); the ganged
+        # loop adds the final true-residual check, while the classic
+        # loop's last iteration trades its rho dot for that check.
         assert ganged.reductions == (
             REDUCTIONS_PER_ITER_GANGED * ganged.iterations + 2
         )
         assert classic.reductions == (
-            REDUCTIONS_PER_ITER_CLASSIC * classic.iterations + 2
+            REDUCTIONS_PER_ITER_CLASSIC * classic.iterations + 1
         )
         np.testing.assert_allclose(ganged.x, classic.x, rtol=1e-8, atol=1e-9)
 
@@ -314,7 +362,7 @@ class TestReductionCounts:
                 res = bicgstab(
                     StencilOperator(local, cart=cart),
                     rhs[:, t.slice1, t.slice2],
-                    tol=1e-10, comm=comm, ganged=ganged, fused=ganged,
+                    tol=1e-10, comm=comm, ganged=ganged,
                 )
                 out[label] = (
                     t, res.x, res.iterations,
@@ -357,7 +405,7 @@ class TestReductionCounts:
 
 
 # ---------------------------------------------------------------------------
-# 4. Bit-reproducibility of the fused path under decomposition.
+# 4. Bit-reproducibility of the solver path under decomposition.
 # ---------------------------------------------------------------------------
 TOPOLOGIES = [(1, 2), (2, 1), (2, 2)]
 
@@ -410,10 +458,10 @@ class TestDecomposedBitReproducibility:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("nprx1,nprx2", TOPOLOGIES)
     def test_full_timestep_matches_serial(self, nprx1, nprx2, transport):
-        def run(nprx1, nprx2, fused):
+        def run(nprx1, nprx2):
             cfg = V2DConfig(
                 nx1=16, nx2=12, nsteps=1, dt=2e-4, precond="jacobi",
-                solver_tol=1e-10, nprx1=nprx1, nprx2=nprx2, fused=fused,
+                solver_tol=1e-10, nprx1=nprx1, nprx2=nprx2,
                 profile=False, transport=transport,
             )
             if cfg.nranks == 1:
@@ -436,13 +484,8 @@ class TestDecomposedBitReproducibility:
                 E[:, t.slice1, t.slice2] = tile_E
             return E
 
-        serial = run(1, 1, fused=True)
-        fused = run(nprx1, nprx2, fused=True)
-        unfused = run(nprx1, nprx2, fused=False)
-        # Fused vs unfused is bitwise even decomposed: rank-local
-        # updates are identical and the reduction rounds carry
-        # identical bits.
-        np.testing.assert_array_equal(fused, unfused)
+        serial = run(1, 1)
+        decomposed = run(nprx1, nprx2)
         # Against the single-rank run only the cross-rank reduction
         # order differs: tight-tolerance agreement.
-        np.testing.assert_allclose(fused, serial, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(decomposed, serial, rtol=1e-12, atol=1e-15)

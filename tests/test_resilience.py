@@ -25,6 +25,7 @@ from repro.io import (
     save_checkpoint,
 )
 from repro.kernels.suite import KernelSuite
+from repro.kernels.workspace import SolverWorkspace
 from repro.linalg.bicgstab import SolveResult, _norm_from_sq, bicgstab
 from repro.linalg.gmres import gmres
 from repro.linalg.operators import BandedOperator, LinearOperator
@@ -443,11 +444,11 @@ class TestBicgstabBreakdown:
         assert np.isnan(_norm_from_sq(-1e-30))
         assert np.isnan(_norm_from_sq(float("nan")))
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_persistent_breakdown_gives_up_after_budget(self, fused):
+    @pytest.mark.parametrize("ganged", [True, False])
+    def test_persistent_breakdown_gives_up_after_budget(self, ganged):
         op = rotation_operator()
         b = np.array([1.0, 0.0])
-        res = bicgstab(op, b, max_restarts=3, fused=fused)
+        res = bicgstab(op, b, max_restarts=3, ganged=ganged)
         assert not res.converged
         assert res.breakdowns == 4  # initial attempt + 3 restarts
         assert np.all(np.isfinite(res.x))
@@ -455,7 +456,7 @@ class TestBicgstabBreakdown:
     def test_transient_corruption_recovers_via_restart(self):
         op = FlakyOperator(np.arange(2.0, 10.0), poison_applies={1})
         b = np.ones(8)
-        res = bicgstab(op, b, tol=1e-12, fused=False)
+        res = bicgstab(op, b, tol=1e-12)
         assert res.converged
         assert res.breakdowns >= 1
         np.testing.assert_allclose(op.diag * res.x, b, atol=1e-9)
@@ -464,7 +465,7 @@ class TestBicgstabBreakdown:
         op = FlakyOperator(np.arange(2.0, 10.0))
         b = np.ones(8)
         b[3] = np.nan
-        res = bicgstab(op, b, fused=False)
+        res = bicgstab(op, b)
         assert not res.converged
         assert res.iterations == 0
 
@@ -508,18 +509,36 @@ class TestEscalation:
         b = np.array([1.0, 0.0])
         stats = solve_with_escalation(op, b, tol=1e-10, counters=c)
         assert stats.ok
-        assert stats.methods == ("bicgstab-fused", "bicgstab-unfused", "gmres")
+        assert stats.methods == ("bicgstab", "bicgstab-restart", "gmres")
         assert stats.escalations == 2 and stats.degraded
         assert stats.degraded_seconds >= 0.0
         assert c.solver_escalations == 1 and c.solver_fallbacks == 1
         np.testing.assert_allclose(stats.final.x, [0.0, 1.0], atol=1e-10)
+
+    def test_classic_takes_restart_rung_before_gmres(self):
+        c = Counters()
+        stats = solve_with_escalation(
+            rotation_operator(), np.array([1.0, 0.0]), tol=1e-10,
+            ganged=False, counters=c,
+        )
+        assert stats.ok
+        assert stats.methods == ("bicgstab", "bicgstab-restart", "gmres")
+        assert c.solver_escalations == 1 and c.solver_fallbacks == 1
+
+    def test_restart_rung_uses_a_fresh_workspace(self):
+        # The restart must not reuse the failed rung's scratch vectors.
+        ws = SolverWorkspace()
+        solve_with_escalation(
+            rotation_operator(), np.array([1.0, 0.0]), tol=1e-10, workspace=ws,
+        )
+        assert (ws.allocations, ws.reuses) == (1, 0)
 
     def test_healthy_solve_stays_on_first_rung(self):
         c = Counters()
         op = FlakyOperator(np.arange(2.0, 10.0))
         stats = solve_with_escalation(op, np.ones(8), tol=1e-10, counters=c)
         assert stats.ok and not stats.degraded
-        assert stats.methods == ("bicgstab-fused",)
+        assert stats.methods == ("bicgstab",)
         assert c.solver_escalations == 0 and c.solver_fallbacks == 0
 
     def test_pristine_x0_survives_failed_rungs(self):
