@@ -47,10 +47,6 @@ def band_offsets(ns: int, nx1: int, nx2: int, coupled: bool = False) -> list[int
     return sorted(offs)
 
 
-#: Backwards-compatible alias used in a few call sites.
-SPECIES_BLOCK_OFFSETS = band_offsets
-
-
 def _fold_reflect(coeffs: StencilCoefficients, bc) -> StencilCoefficients:
     """Fold reflecting boundaries into the diagonal.
 

@@ -8,8 +8,12 @@ SPAI chooses M with a prescribed sparsity pattern (here: the pattern of
 A itself) minimizing ``||A M - I||_F`` column by column.  Each column
 is a tiny least-squares problem over the pattern; for a banded operator
 the normal equations are identical small dense systems gathered from
-the diagonals of ``S = A^T A``, so the whole construction vectorizes as
-one batched ``m x m`` solve (m = number of bands).
+the diagonals of ``S = A^T A``.  Every diagonal of ``S`` and every
+entry of the Gram systems is a contiguous shifted slice of the bands,
+and the systems are symmetric positive definite, so the whole
+construction vectorizes as one in-place Cholesky factorization and
+solve unrolled over ``m`` (the number of bands) and batched over the
+``n`` columns: each step is a length-``n`` vector operation.
 
 Crucially, the resulting M has the *same banded/stencil structure as
 A*, so applying the preconditioner is just another matrix-free stencil
@@ -91,6 +95,48 @@ class JacobiPreconditioner(Preconditioner):
 # ---------------------------------------------------------------------------
 # Banded SPAI construction
 # ---------------------------------------------------------------------------
+def _rows(d: int, n: int) -> tuple[int, int]:
+    """Rows ``[lo, hi)`` of an ``n x n`` matrix whose band-``d`` entry
+    ``A[i, i + d]`` lies inside the matrix (empty: ``lo == hi``)."""
+    lo = min(max(0, -d), n)
+    return lo, max(lo, min(n, n - d))
+
+
+def _overlap(ra: tuple[int, int], rb: tuple[int, int]) -> tuple[int, int]:
+    lo = max(ra[0], rb[0])
+    return lo, max(lo, min(ra[1], rb[1]))
+
+
+def _cholesky_solve(G: Array, f: Array) -> bool:
+    """Solve ``n`` small SPD systems at once, in place.
+
+    ``G`` is ``(m, m, n)`` with the lower triangles of the ``n``
+    matrices (batch axis last); it is overwritten by their Cholesky
+    factors.  ``f`` is ``(m, n)`` and receives the solutions.  Every
+    loop runs over ``m`` and every body is a length-``n`` vector
+    operation.  Returns False if a pivot is not ``> 0`` (a matrix is
+    not numerically SPD).
+    """
+    m = f.shape[0]
+    for k in range(m):
+        for p in range(k):
+            G[k:, k] -= G[k:, p] * G[k, p]
+        pivot = G[k, k]
+        if not pivot.min() > 0.0:
+            return False
+        np.sqrt(pivot, out=pivot)
+        G[k + 1 :, k] /= pivot
+    for k in range(m):  # L y = f
+        for p in range(k):
+            f[k] -= G[k, p] * f[p]
+        f[k] /= G[k, k]
+    for k in reversed(range(m)):  # L^T x = y
+        for p in range(k + 1, m):
+            f[k] -= G[p, k] * f[p]
+        f[k] /= G[k, k]
+    return True
+
+
 def spai_bands(
     offsets: Sequence[int], bands: Sequence[Array], ridge: float = 0.0
 ) -> tuple[list[int], list[Array]]:
@@ -100,10 +146,10 @@ def spai_bands(
     ----------
     offsets, bands:
         Row-indexed banded form (``band[k][i] = A[i, i + offsets[k]]``)
-        with structural zeros enforced at the matrix edges.  The offset
-        set must be symmetric (``-d`` present for every ``d``) -- true
-        for every operator in this package -- so that M's pattern
-        equals A's.
+        in any order.  Entries that fall outside the matrix do not
+        enter the result.  The offset set must be symmetric (``-d``
+        present for every ``d``) -- true for every operator in this
+        package -- so that M's pattern equals A's.
     ridge:
         Optional Tikhonov term added to the normal equations (used as a
         retry when a column's little Gram matrix is singular).
@@ -112,68 +158,67 @@ def spai_bands(
     -------
     (offsets, mbands):
         The banded form of M minimizing ``||A M - I||_F`` columnwise
-        over the pattern.
+        over the pattern, in the caller's offset order.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If a band is not finite, or a Gram matrix stays singular after
+        the ridge retry.
     """
     offs = [int(o) for o in offsets]
     if sorted(offs) != sorted(-o for o in offs):
         raise ValueError("SPAI pattern requires a symmetric offset set")
-    m = len(offs)
-    n = bands[0].shape[0]
     bmap = {o: np.asarray(b, dtype=float) for o, b in zip(offs, bands)}
+    if not all(np.isfinite(b).all() for b in bmap.values()):
+        raise np.linalg.LinAlgError("SPAI input bands are not finite")
+    d = sorted(bmap)
+    m = len(d)
+    n = bands[0].shape[0]
+    rows = [_rows(o, n) for o in d]
 
-    # S = A^T A, as diagonals at every pairwise offset difference.
-    idx = np.arange(n)
-    sdiags: dict[int, Array] = {}
-    for da, ba in bmap.items():
-        for db, bb in bmap.items():
-            e = db - da
-            u = idx + da
-            valid = (u >= 0) & (u < n)
-            contrib = ba[idx[valid]] * bb[idx[valid]]
-            sdiags.setdefault(e, np.zeros(n))
-            np.add.at(sdiags[e], u[valid], contrib)
-
-    # Batched normal equations: for column j, unknowns are the pattern
-    # entries m_a at rows j + d_a.  Missing unknowns (rows outside the
-    # matrix) are pinned to zero via identity rows.
-    G = np.tile(np.eye(m), (n, 1, 1))
-    f = np.zeros((n, m))
-    j = np.arange(n)
-    valid = {a: (j + offs[a] >= 0) & (j + offs[a] < n) for a in range(m)}
+    # S = A^T A as its diagonals S_e[u] = S[u, u + e], e >= 0 only (S is
+    # symmetric).  Row i adds A[i, i + d_a] A[i, i + d_b] to S[i + d_a,
+    # i + d_b]: one contiguous shifted range per pair of bands.
+    sdiag: dict[int, Array] = {}
     for a in range(m):
-        f[valid[a], a] = bmap[offs[a]][j[valid[a]]]
-        for b in range(m):
-            e = offs[b] - offs[a]
-            mask = valid[a] & valid[b]
-            u = j[mask] + offs[a]
-            vals = sdiags[e][u]
-            G[mask, a, b] = vals
-        # Re-pin the diagonal for invalid unknowns (overwritten above
-        # only on valid rows, so the identity remains elsewhere).
+        for b in range(a, m):
+            lo, hi = _overlap(rows[a], rows[b])
+            s = sdiag.setdefault(d[b] - d[a], np.zeros(n))
+            s[lo + d[a] : hi + d[a]] += bmap[d[a]][lo:hi] * bmap[d[b]][lo:hi]
 
-    if ridge > 0.0:
-        G += ridge * np.eye(m)
-
-    try:
-        sol = np.linalg.solve(G, f[..., None])[..., 0]
-    except np.linalg.LinAlgError:
+    # Normal equations of every column j, batch axis last.  Unknown a is
+    # M[j + d_a, j], inside the matrix for j in rows[a]; then
+    # G[a, b, j] = S[j + d_b, j + d_a] (lower triangle, d_a >= d_b) and
+    # f[a, j] = A[j, j + d_a].  Unknowns outside the matrix are pinned
+    # to zero by identity rows.
+    G = np.zeros((m, m, n))
+    f = np.zeros((m, n))
+    for a in range(m):
+        lo, hi = rows[a]
+        G[a, a, :lo] = 1.0
+        G[a, a, hi:] = 1.0
+        f[a, lo:hi] = bmap[d[a]][lo:hi]
+        for b in range(a + 1):
+            lo, hi = _overlap(rows[a], rows[b])
+            G[a, b, lo:hi] = sdiag[d[a] - d[b]][lo + d[b] : hi + d[b]]
         if ridge > 0.0:
-            raise
+            G[a, a] += ridge
+
+    if not _cholesky_solve(G, f):
+        if ridge > 0.0:
+            raise np.linalg.LinAlgError("SPAI Gram matrix singular after the ridge retry")
         scale = float(np.mean(np.abs(bmap[0]))) if 0 in bmap else 1.0
         return spai_bands(offsets, bands, ridge=1e-10 * max(scale, 1.0) ** 2)
 
-    # Scatter columns of M back into bands: M[u, u+o] with o = -d_a,
-    # column j = u + o, value sol[j, a].
-    mbands: list[Array] = []
-    for o in offs:
-        a = offs.index(-o)
+    # Unknown a of column j is entry u = j + d_a of M's band at -d_a.
+    mbands: dict[int, Array] = {}
+    for a in range(m):
+        lo, hi = rows[a]
         band = np.zeros(n)
-        # Row-indexed: band[u] = M[u, u+o]; column j = u + o, so u = j - o.
-        u = j - o
-        ok = (u >= 0) & (u < n)
-        band[u[ok]] = sol[j[ok], a]
-        mbands.append(band)
-    return offs, mbands
+        band[lo + d[a] : hi + d[a]] = f[a, lo:hi]
+        mbands[-d[a]] = band
+    return offs, [mbands[o] for o in offs]
 
 
 def bands_to_stencil(
