@@ -66,13 +66,13 @@ class JacobiPreconditioner(Preconditioner):
     Parameters
     ----------
     diagonal:
-        The operator's main diagonal, operand-shaped.  Zero entries are
-        rejected (a singular Jacobi preconditioner).
+        The operator's main diagonal, operand-shaped.  Zero entries (a
+        singular Jacobi preconditioner) and NaN/Inf entries are rejected.
     """
 
     def __init__(self, diagonal: Array, suite: KernelSuite | None = None) -> None:
-        if np.any(diagonal == 0.0):
-            raise ValueError("Jacobi preconditioner requires a nonzero diagonal")
+        if np.any(diagonal == 0.0) or not np.all(np.isfinite(diagonal)):
+            raise ValueError("Jacobi preconditioner requires a finite, nonzero diagonal")
         self._inv = 1.0 / diagonal
         self.suite = suite if suite is not None else KernelSuite()
 

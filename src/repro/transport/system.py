@@ -76,7 +76,13 @@ def diffusion_coefficient(
     limiter: FluxLimiter | str = FluxLimiter.LEVERMORE_POMRANING,
     c_light: float = 1.0,
 ) -> Array:
-    """Zone-centred FLD coefficient ``D = c lambda(R) / kappa_t``."""
+    """Zone-centred FLD coefficient ``D = c lambda(R) / kappa_t``.
+
+    ``kappa_t`` is ``(ncomp, nx1, nx2)``.  Under ``DIFFUSION``
+    (``lambda = 1/3``) the Knudsen ratio ``R`` is not computed.
+    """
+    if FluxLimiter(limiter) is FluxLimiter.DIFFUSION:
+        return c_light * (1.0 / 3.0) / kappa_t
     R = knudsen_number(epad, kappa_t, mesh.dx1, mesh.dx2)
     lam = limiter_lambda(limiter, R)
     return c_light * lam / kappa_t

@@ -356,6 +356,11 @@ class TestPreconditioners:
         with pytest.raises(ValueError):
             JacobiPreconditioner(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_jacobi_rejects_non_finite_diagonal(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JacobiPreconditioner(np.array([1.0, bad, 2.0]))
+
     def test_spai_bands_improves_on_jacobi(self):
         # ||A M - I||_F must beat the Jacobi baseline.
         coeffs = diffusion_coeffs(ns=1, n1=8, n2=7, coupled=False)

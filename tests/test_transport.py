@@ -20,6 +20,7 @@ from repro.transport import (
     limiter_lambda,
 )
 from repro.transport.groups import planck_cdf, planck_integral
+from repro.transport.system import diffusion_coefficient
 
 
 class TestEnergyGroups:
@@ -222,6 +223,24 @@ class TestFluxLimiters:
         R2 = knudsen_number(epad2, kap, np.ones(3), np.ones(3))
         interior = epad2[0, 1:-1, 1:-1]
         np.testing.assert_allclose(R2[0], 1.0 / interior)
+
+    @pytest.mark.parametrize("limiter", [FluxLimiter.DIFFUSION, "diffusion"])
+    def test_diffusion_coefficient_skips_knudsen_bitwise(self, limiter):
+        mesh = Mesh2D.uniform(7, 5, extent1=(0, 1), extent2=(0, 2))
+        rng = np.random.default_rng(11)
+        epad = np.abs(rng.standard_normal((2, 9, 7))) + 0.1
+        kappa_t = rng.uniform(0.5, 4.0, (2, 7, 5))
+        R = knudsen_number(epad, kappa_t, mesh.dx1, mesh.dx2)
+        want = 2.5 * limiter_lambda(FluxLimiter.DIFFUSION, R) / kappa_t
+        got = diffusion_coefficient(epad, kappa_t, mesh, limiter, c_light=2.5)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_limited_diffusion_coefficient_still_checks_knudsen(self):
+        mesh = Mesh2D.uniform(3, 3, extent1=(0, 1), extent2=(0, 1))
+        epad = np.arange(25.0).reshape(1, 5, 5) + 1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            diffusion_coefficient(epad, -np.ones((1, 3, 3)), mesh, "levermore-pomraning")
 
 
 class TestBuildSystem:
