@@ -18,7 +18,12 @@ from repro.linalg import (
     StencilOperator,
     bicgstab,
 )
-from repro.transport import ConstantOpacity, RadiationBasis, build_radiation_system
+from repro.transport import (
+    ConstantOpacity,
+    RadiationBasis,
+    build_radiation_system,
+    radiation_rhs,
+)
 
 # A stiff radiation step (large dt * D / dx^2) where preconditioning
 # actually matters.
@@ -26,23 +31,26 @@ MESH = Mesh2D.uniform(32, 24, extent1=(0, 1), extent2=(0, 1))
 BASIS = RadiationBasis()
 _rng = np.random.default_rng(2)
 _EPAD = np.abs(_rng.standard_normal((2, 34, 26))) + 0.1
-SYSTEM = build_radiation_system(
-    MESH, _EPAD, np.ones(MESH.shape), np.ones(MESH.shape),
-    dt=0.5, basis=BASIS, opacity=ConstantOpacity(kappa_a=0.01, kappa_s=0.05),
+_OPACITY = ConstantOpacity(kappa_a=0.01, kappa_s=0.05)
+_ONES = np.ones(MESH.shape)
+_KAPPA_A = _OPACITY.absorption(_ONES, _ONES, BASIS)
+COEFFS = build_radiation_system(
+    MESH, _EPAD, _KAPPA_A, _OPACITY.total(_ONES, _ONES, BASIS), dt=0.5
 )
+RHS = radiation_rhs(_EPAD[:, 1:-1, 1:-1], _ONES, _KAPPA_A, 0.5, BASIS)
 
 
 def make_preconditioner(kind: str):
     if kind == "spai":
-        return SPAIPreconditioner.from_stencil(SYSTEM.coeffs)
+        return SPAIPreconditioner.from_stencil(COEFFS)
     if kind == "jacobi":
-        return JacobiPreconditioner.from_stencil(SYSTEM.coeffs)
+        return JacobiPreconditioner.from_stencil(COEFFS)
     return IdentityPreconditioner()
 
 
 def solve(kind: str):
-    op = StencilOperator(SYSTEM.coeffs)
-    return bicgstab(op, SYSTEM.rhs, tol=1e-10, M=make_preconditioner(kind))
+    op = StencilOperator(COEFFS)
+    return bicgstab(op, RHS, tol=1e-10, M=make_preconditioner(kind))
 
 
 class TestPrecondAblation:
@@ -52,7 +60,7 @@ class TestPrecondAblation:
         assert res.converged
 
     def test_bench_spai_setup(self, benchmark):
-        M = benchmark(SPAIPreconditioner.from_stencil, SYSTEM.coeffs)
+        M = benchmark(SPAIPreconditioner.from_stencil, COEFFS)
         assert M.mcoeffs.shape == MESH.shape
 
     def test_iteration_ordering(self, bench_record, write_report):
@@ -60,12 +68,12 @@ class TestPrecondAblation:
         bench_record.record(
             "iterations",
             {f"iters_{k}": (float(v), "count") for k, v in iters.items()},
-            config={"nunknowns": SYSTEM.nunknowns, "tol": 1e-10},
+            config={"nunknowns": COEFFS.nunknowns, "tol": 1e-10},
         )
         report = "\n".join(
             [
                 "ABLATION — preconditioner quality (BiCGSTAB iterations)",
-                f"  system: {SYSTEM.nunknowns} unknowns, stiff dt",
+                f"  system: {COEFFS.nunknowns} unknowns, stiff dt",
                 *(f"  {k:<8}: {v} iterations" for k, v in iters.items()),
             ]
         )

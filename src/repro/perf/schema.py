@@ -12,9 +12,10 @@ An entry carries
   the regression gate knows how to judge it (``time`` metrics get
   noise-aware thresholds, ``count`` metrics are deterministic and
   compared near-exactly);
-* an environment fingerprint (interpreter, NumPy, platform, CPU, git
-  revision + dirty flag, backend) so any ledger line can be traced to
-  the commit and machine that produced it;
+* an environment fingerprint (interpreter, NumPy, BLAS vendor, version
+  and thread variables, platform, CPU, git revision + dirty flag,
+  backend) so any ledger line can be traced to the commit, machine and
+  BLAS setting that produced it;
 * optionally the PAPI-style counter snapshot of the measured run, the
   raw material for roofline-efficiency attribution.
 
@@ -24,6 +25,7 @@ the single gatekeeper every ledger write goes through.
 
 from __future__ import annotations
 
+import os
 import platform
 import subprocess
 import sys
@@ -186,6 +188,23 @@ def _cpu_name() -> str:
     return platform.machine() or "unknown"
 
 
+def _blas() -> dict[str, Any]:
+    """BLAS vendor, version and thread variables.  The thread count
+    changes timings and, through threaded reductions, the last bits of
+    the numerics."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = {}
+    return {
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def environment_fingerprint(backend: str | None = None) -> dict[str, Any]:
     """The provenance stamp attached to every ledger entry."""
     import numpy
@@ -197,6 +216,7 @@ def environment_fingerprint(backend: str | None = None) -> dict[str, Any]:
         "repro": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
+        **_blas(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu": _cpu_name(),

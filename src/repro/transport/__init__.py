@@ -29,7 +29,7 @@ from repro.transport.opacity import (
     PowerLawOpacity,
     TabulatedOpacity,
 )
-from repro.transport.system import RadiationSystem, build_radiation_system
+from repro.transport.system import build_radiation_system, radiation_rhs
 from repro.transport.timestep import TimestepController
 
 __all__ = [
@@ -42,8 +42,8 @@ __all__ = [
     "FluxLimiter",
     "limiter_lambda",
     "knudsen_number",
-    "RadiationSystem",
     "build_radiation_system",
+    "radiation_rhs",
     "RadiationIntegrator",
     "StepReport",
     "TimestepController",

@@ -34,6 +34,12 @@ class FluxLimiter(Enum):
     LARSEN2 = "larsen2"
 
 
+def limiter_reads_energy(limiter: FluxLimiter | str) -> bool:
+    """Whether ``lambda`` depends on ``E`` (through ``R``); only
+    ``DIFFUSION`` does not."""
+    return FluxLimiter(limiter) is not FluxLimiter.DIFFUSION
+
+
 def limiter_lambda(limiter: FluxLimiter | str, R: Array) -> Array:
     """Evaluate ``lambda(R)`` elementwise (R must be non-negative)."""
     if isinstance(limiter, str):

@@ -24,18 +24,18 @@ Every phase is instrumented with the TAU-style profiler under the
 region names the Sec. II-E breakdown uses (``MATVEC``, ``PRECOND``,
 ``BiCGSTAB``, ``build_system``, ``halo_exchange``, ``matter_update``).
 
-The SPAI preconditioner is built once per distinct operator.  The
-integrator keeps the last ``M`` together with the coefficient arrays it
-was built from (``diag/west/east/south/north`` and ``coupling``), marked
-read-only so an in-place write raises instead of serving a stale ``M``.
-A solve whose coefficients are ``np.array_equal`` to those (``coupling``
-``None`` matching only ``None``) reuses ``M``; any other solve rebuilds
-it.  ``M`` is a deterministic function of the coefficients, so reuse is
-bitwise invisible.  Under the ``DIFFUSION`` limiter with frozen matter
-at a fixed ``dt`` every solve sees the same operator, so the paper's
-run builds SPAI once; limited or matter-coupled runs rebuild on every
-solve.  Jacobi is cheaper to build than to compare and is rebuilt on
-every solve.
+Each distinct operator is built once.  The integrator keeps the last
+operator (stencil coefficients, Matvec operator and preconditioner)
+with the inputs it was built from: ``dt``, ``kappa_a`` and ``kappa_t``
+(evaluated from ``rho``/``temp`` on every solve), ``coupling`` and
+``c_light``.  A solve reuses it iff the limiter does not read ``E``
+(today: ``DIFFUSION``) and every input is ``np.array_equal`` to the
+kept one (``None`` matching only ``None``); the kept arrays are
+read-only, so an in-place write raises instead of serving a stale
+operator.  The right-hand side is recomputed on every solve, so reuse
+is bitwise invisible.  The paper's run builds one operator, and so
+does a matter-coupled run at constant opacity (``T`` moves, the
+operator does not).
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ from repro.parallel.cart import CartComm
 from repro.parallel.halo import BoundaryCondition, HaloExchanger
 from repro.resilience.errors import NonFiniteStateError
 from repro.resilience.escalation import SolveStats, solve_with_escalation
-from repro.transport.fld import FluxLimiter
+from repro.transport.fld import FluxLimiter, limiter_reads_energy
 from repro.transport.groups import RadiationBasis
 from repro.transport.opacity import OpacityModel
-from repro.transport.system import RadiationSystem, build_radiation_system
+from repro.transport.system import build_radiation_system, radiation_rhs
 
 Array = np.ndarray
 
@@ -75,20 +75,22 @@ Array = np.ndarray
 PRECONDITIONERS = ("spai", "jacobi", "none")
 
 
-def _coefficient_arrays(coeffs: StencilCoefficients) -> tuple[Array | None, ...]:
-    """The arrays that define a stencil operator (and hence its SPAI)."""
-    return tuple(
-        getattr(coeffs, name)
-        for name in ("diag", "west", "east", "south", "north", "coupling")
-    )
-
-
-def _same_arrays(kept: tuple[Array | None, ...], coeffs: StencilCoefficients) -> bool:
-    """True iff ``coeffs`` holds bitwise the arrays in ``kept``."""
+def _same_inputs(kept: tuple, inputs: tuple) -> bool:
+    """True iff every input equals the kept one (``None`` only ``None``)."""
     return all(
         a is b if a is None or b is None else np.array_equal(a, b)
-        for a, b in zip(kept, _coefficient_arrays(coeffs))
+        for a, b in zip(kept, inputs)
     )
+
+
+@dataclass
+class _Operator:
+    """One distinct radiation operator and the inputs it was built from."""
+
+    inputs: tuple
+    coeffs: StencilCoefficients
+    op: StencilOperator
+    M: Preconditioner | None = None    # built by the first solve
 
 
 def _instrument_scope(
@@ -266,9 +268,9 @@ class RadiationIntegrator:
         # One workspace for every solve of every step: the solver reuses
         # its scratch vectors instead of reallocating them.
         self._workspace = SolverWorkspace()
-        # The last SPAI and the (read-only) coefficient arrays it was
-        # built from; see the module docstring.
-        self._spai: tuple[tuple[Array | None, ...], SPAIPreconditioner] | None = None
+        # The last operator whose limiter does not read E; see the
+        # module docstring.
+        self._kept: _Operator | None = None
         self.coupling = (
             basis.pair_coupling_matrix(coupling_rate) if coupling_rate > 0 else None
         )
@@ -329,75 +331,72 @@ class RadiationIntegrator:
                         fld.reflect_side(side)
 
     def _build(
-        self, epad: Array, dt: float, temp: Array, e_rhs: Array | None = None
-    ) -> RadiationSystem:
+        self, epad: Array, e_old: Array, dt: float, temp: Array
+    ) -> tuple[_Operator, Array]:
+        """This solve's operator (kept or new) and right-hand side."""
         with _instrument_scope(
             "build_system", self.rank, self.profiler, self.tracer
         ):
-            return self._build_inner(epad, dt, temp, e_rhs)
-
-    def _build_inner(
-        self, epad: Array, dt: float, temp: Array, e_rhs: Array | None
-    ) -> RadiationSystem:
-        return build_radiation_system(
-            self.mesh,
-            epad,
-            self.rho,
-            temp,
-            dt,
-            self.basis,
-            self.opacity,
-            limiter=self.limiter,
-            coupling=self.coupling,
-            c_light=self.c_light,
-            a_rad=self.a_rad,
-            emission=self.emission,
-            e_rhs=e_rhs,
-        )
-
-    def _spai_for(self, coeffs: StencilCoefficients) -> SPAIPreconditioner:
-        """The kept SPAI if ``coeffs`` equal its operator's, else a new one."""
-        if self._spai is not None and _same_arrays(self._spai[0], coeffs):
-            return self._spai[1]
-        M = SPAIPreconditioner.from_stencil(
-            coeffs, bc=BoundaryCondition.DIRICHLET0, suite=self.suite
-        )
-        kept = _coefficient_arrays(coeffs)
-        for arr in kept:
-            if arr is not None:
-                arr.flags.writeable = False
-        self._spai = (kept, M)
-        return M
-
-    def _make_preconditioner(self, system: RadiationSystem) -> Preconditioner:
-        if self.precond_name == "spai":
-            M: Preconditioner = self._spai_for(system.coeffs)
-        elif self.precond_name == "jacobi":
-            M = JacobiPreconditioner.from_stencil(system.coeffs, suite=self.suite)
-        else:
-            M = IdentityPreconditioner()
-        if self.profiler is not None or self.tracer is not None:
-            M = _ProfiledPreconditioner(
-                M, self.profiler, self.rank, tracer=self.tracer
+            kappa_a = self.opacity.absorption(self.rho, temp, self.basis)
+            kappa_t = self.opacity.total(self.rho, temp, self.basis)
+            rhs = radiation_rhs(
+                e_old, temp, kappa_a, dt, self.basis, c_light=self.c_light,
+                a_rad=self.a_rad, emission=self.emission,
             )
-        return M
+            return self._operator(epad, dt, kappa_a, kappa_t), rhs
 
-    def _solve(self, system: RadiationSystem, x0: Array, site: int) -> SolveResult:
-        op: LinearOperator = StencilOperator(
-            system.coeffs, suite=self.suite, bc=self.bc, cart=self.cart,
-            tracer=self.tracer,
+    def _operator(
+        self, epad: Array, dt: float, kappa_a: Array, kappa_t: Array
+    ) -> _Operator:
+        inputs = (dt, kappa_a, kappa_t, self.coupling, self.c_light)
+        reusable = not limiter_reads_energy(self.limiter)
+        kept = self._kept
+        if reusable and kept is not None and _same_inputs(kept.inputs, inputs):
+            return kept
+        coeffs = build_radiation_system(
+            self.mesh, epad, kappa_a, kappa_t, dt, limiter=self.limiter,
+            coupling=self.coupling, c_light=self.c_light,
         )
+        built = _Operator(inputs, coeffs, StencilOperator(
+            coeffs, suite=self.suite, bc=self.bc, cart=self.cart,
+            tracer=self.tracer,
+        ))
+        self._kept = built if reusable else None
+        if reusable:
+            for arr in (*inputs, *vars(coeffs).values()):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+        return built
+
+    def _make_preconditioner(self, coeffs: StencilCoefficients) -> Preconditioner:
+        if self.precond_name == "spai":
+            return SPAIPreconditioner.from_stencil(
+                coeffs, bc=BoundaryCondition.DIRICHLET0, suite=self.suite
+            )
+        if self.precond_name == "jacobi":
+            return JacobiPreconditioner.from_stencil(coeffs, suite=self.suite)
+        return IdentityPreconditioner()
+
+    def _solve(
+        self, operator: _Operator, rhs: Array, x0: Array, site: int
+    ) -> SolveResult:
+        if operator.M is None:
+            operator.M = self._make_preconditioner(operator.coeffs)
+        op: LinearOperator = operator.op
+        M = operator.M
         if self.profiler is not None or self.tracer is not None:
             op = _ProfiledOperator(
                 op, self.profiler, "MATVEC", self.rank, tracer=self.tracer
             )
-        M = self._make_preconditioner(system)
+            M = _ProfiledPreconditioner(
+                M, self.profiler, self.rank, tracer=self.tracer
+            )
 
         def run() -> SolveResult:
             if self.escalate:
                 stats = solve_with_escalation(
                     op,
-                    system.rhs,
+                    rhs,
                     x0=x0,
                     tol=self.solver_tol,
                     maxiter=self.solver_maxiter,
@@ -425,7 +424,7 @@ class RadiationIntegrator:
                 return stats.final
             return bicgstab(
                 op,
-                system.rhs,
+                rhs,
                 x0=x0,
                 tol=self.solver_tol,
                 maxiter=self.solver_maxiter,
@@ -530,8 +529,8 @@ class RadiationIntegrator:
 
         # --- Solve 1: predictor (D from E^n) --------------------------
         self._fill_ghosts(self.E)
-        sys1 = self._build(self.E.data, dt, self.temp)
-        res1 = self._solve(sys1, x0=e_old, site=1)
+        op1, rhs1 = self._build(self.E.data, e_old, dt, self.temp)
+        res1 = self._solve(op1, rhs1, x0=e_old, site=1)
         report.solves.append(res1)
         e_star = self._guard_solution(res1, site=1)
 
@@ -539,8 +538,8 @@ class RadiationIntegrator:
         work = Field(self.basis.ncomp, self.mesh.shape, nghost=1)
         work.interior = e_star
         self._fill_ghosts(work)
-        sys2 = self._build(work.data, dt, self.temp, e_rhs=e_old)
-        res2 = self._solve(sys2, x0=e_star, site=2)
+        op2, rhs2 = self._build(work.data, e_old, dt, self.temp)
+        res2 = self._solve(op2, rhs2, x0=e_star, site=2)
         report.solves.append(res2)
         e_corr = self._guard_solution(res2, site=2)
 
@@ -554,8 +553,8 @@ class RadiationIntegrator:
 
         work.interior = e_corr
         self._fill_ghosts(work)
-        sys3 = self._build(work.data, dt, new_temp, e_rhs=e_old)
-        res3 = self._solve(sys3, x0=e_corr, site=3)
+        op3, rhs3 = self._build(work.data, e_old, dt, new_temp)
+        res3 = self._solve(op3, rhs3, x0=e_corr, site=3)
         report.solves.append(res3)
         e_new = self._guard_solution(res3, site=3)
         if self.escalate:

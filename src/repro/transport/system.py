@@ -29,39 +29,19 @@ spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.grid.mesh import Mesh2D
 from repro.kernels.stencil import StencilCoefficients
-from repro.transport.fld import FluxLimiter, knudsen_number, limiter_lambda
+from repro.transport.fld import (
+    FluxLimiter,
+    knudsen_number,
+    limiter_lambda,
+    limiter_reads_energy,
+)
 from repro.transport.groups import RadiationBasis
-from repro.transport.opacity import OpacityModel
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class RadiationSystem:
-    """One implicit radiation step's linear system ``A E = rhs``."""
-
-    coeffs: StencilCoefficients
-    rhs: Array
-    dt: float
-    c_light: float
-
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.nspec
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.coeffs.shape
-
-    @property
-    def nunknowns(self) -> int:
-        return self.coeffs.nunknowns
 
 
 def _harmonic(a: Array, b: Array, floor: float = 1e-300) -> Array:
@@ -81,7 +61,7 @@ def diffusion_coefficient(
     ``kappa_t`` is ``(ncomp, nx1, nx2)``.  Under ``DIFFUSION``
     (``lambda = 1/3``) the Knudsen ratio ``R`` is not computed.
     """
-    if FluxLimiter(limiter) is FluxLimiter.DIFFUSION:
+    if not limiter_reads_energy(limiter):
         return c_light * (1.0 / 3.0) / kappa_t
     R = knudsen_number(epad, kappa_t, mesh.dx1, mesh.dx2)
     lam = limiter_lambda(limiter, R)
@@ -91,20 +71,14 @@ def diffusion_coefficient(
 def build_radiation_system(
     mesh: Mesh2D,
     epad: Array,
-    rho: Array,
-    temp: Array,
+    kappa_a: Array,
+    kappa_t: Array,
     dt: float,
-    basis: RadiationBasis,
-    opacity: OpacityModel,
     limiter: FluxLimiter | str = FluxLimiter.LEVERMORE_POMRANING,
     coupling: Array | None = None,
     c_light: float = 1.0,
-    a_rad: float = 1.0,
-    emission: bool = True,
-    t_ref: float = 1.0,
-    e_rhs: Array | None = None,
-) -> RadiationSystem:
-    """Build the backward-Euler MFLD system for one step.
+) -> StencilCoefficients:
+    """The backward-Euler MFLD operator for one step.
 
     Parameters
     ----------
@@ -112,52 +86,36 @@ def build_radiation_system(
         This tile's mesh (geometry factors).
     epad:
         Ghost-filled radiation energy density ``(ncomp, nx1+2, nx2+2)``
-        at the old time level (used for the FLD nonlinearity and the
-        right-hand side).
-    rho, temp:
-        Material density and temperature, ``(nx1, nx2)``.
+        at which the flux-limiter nonlinearity is evaluated (not read
+        by the ``DIFFUSION`` limiter).
+    kappa_a, kappa_t:
+        Absorption and total opacity ``(ncomp, nx1, nx2)`` from the
+        opacity model at this step's material state.
     dt:
         Timestep.
-    basis:
-        Species/group structure; ``basis.ncomp`` must match ``epad``.
-    opacity:
-        Opacity model.
     coupling:
         Optional ``(ncomp, ncomp)`` inter-component exchange-rate
         matrix (zero diagonal); see
         :meth:`RadiationBasis.pair_coupling_matrix`.
-    c_light, a_rad:
-        Speed of light and radiation constant (problem units).
-    emission:
-        Include the thermal emission source ``dt c kappa_a B(T)``.
-    t_ref:
-        Reference temperature for the group Planck fractions.
-    e_rhs:
-        Old-time radiation field for the right-hand side
-        ``(ncomp, nx1, nx2)``.  Defaults to the interior of ``epad``;
-        pass it explicitly when ``epad`` holds a *predictor* state used
-        only to evaluate the flux-limiter nonlinearity (otherwise the
-        corrector would advance from the predicted state, double
-        stepping).
+    c_light:
+        Speed of light (problem units).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n1, n2 = mesh.shape
-    ncomp = basis.ncomp
+    ncomp = epad.shape[0]
     if epad.shape != (ncomp, n1 + 2, n2 + 2):
         raise ValueError(
             f"epad shape {epad.shape} != {(ncomp, n1 + 2, n2 + 2)}"
         )
-    if rho.shape != (n1, n2) or temp.shape != (n1, n2):
-        raise ValueError("rho/temp must be interior-shaped")
+    if kappa_a.shape != (ncomp, n1, n2) or kappa_t.shape != (ncomp, n1, n2):
+        raise ValueError("kappa_a/kappa_t must be (ncomp, nx1, nx2)")
     if coupling is not None:
         if coupling.shape != (ncomp, ncomp):
             raise ValueError(f"coupling must be ({ncomp},{ncomp})")
         if np.any(np.diag(coupling) != 0.0):
             raise ValueError("coupling matrix must have zero diagonal")
 
-    kappa_a = opacity.absorption(rho, temp, basis)
-    kappa_t = opacity.total(rho, temp, basis)
     D = diffusion_coefficient(epad, kappa_t, mesh, limiter, c_light)
 
     vol = mesh.volumes                       # (n1, n2)
@@ -198,21 +156,38 @@ def build_radiation_system(
                 row_sum += dt * coupling[u, up]
             diag[u] += row_sum
 
-    coeffs = StencilCoefficients(
+    return StencilCoefficients(
         diag=diag, west=-tw, east=-te, south=-ts, north=-tn, coupling=coup
     )
 
-    if e_rhs is None:
-        rhs = epad[:, 1:-1, 1:-1].copy()
-    else:
-        if e_rhs.shape != (ncomp, n1, n2):
-            raise ValueError(f"e_rhs shape {e_rhs.shape} != {(ncomp, n1, n2)}")
-        rhs = e_rhs.copy()
+
+def radiation_rhs(
+    e_old: Array,
+    temp: Array,
+    kappa_a: Array,
+    dt: float,
+    basis: RadiationBasis,
+    c_light: float = 1.0,
+    a_rad: float = 1.0,
+    emission: bool = True,
+    t_ref: float = 1.0,
+) -> Array:
+    """Right-hand side ``E^n + dt c kappa_a B(T)`` of one step's system.
+
+    ``e_old`` is the old-time field ``(ncomp, nx1, nx2)``: the corrector
+    and matter-coupling solves pass ``E^n`` here while their operator
+    is evaluated at a predicted state (otherwise they would advance
+    from the predicted state, double stepping).  ``emission`` adds the
+    thermal source at ``temp``; ``t_ref`` is the reference temperature
+    of the group Planck fractions.
+    """
+    if e_old.shape != kappa_a.shape:
+        raise ValueError(f"e_old shape {e_old.shape} != {kappa_a.shape}")
+    rhs = e_old.copy()
     if emission:
         fracs = basis.groups.planck_fractions_field(temp, t_ref=t_ref)  # (ng, n1, n2)
         b_field = a_rad * temp[None] ** 4 * fracs                       # per group
-        for u in range(ncomp):
+        for u in range(basis.ncomp):
             _s, g = basis.unpack(u)
             rhs[u] += dt * c_light * kappa_a[u] * b_field[g]
-
-    return RadiationSystem(coeffs=coeffs, rhs=rhs, dt=dt, c_light=c_light)
+    return rhs

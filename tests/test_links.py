@@ -55,7 +55,8 @@ class TestRegistry:
     def test_both_transports_available_here(self):
         assert set(TRANSPORTS) <= set(available_transports())
 
-    def test_default_is_threads(self):
+    def test_default_is_threads(self, monkeypatch):
+        monkeypatch.delenv(TRANSPORT_ENV, raising=False)
         assert DEFAULT_TRANSPORT == "threads"
         assert isinstance(get_transport(None), ThreadedTransport)
 

@@ -164,21 +164,21 @@ class TestCollectives:
                 assert r == want  # bitwise
 
     def test_barrier(self):
-        import threading
-
-        counter = {"v": 0}
-        lock = threading.Lock()
+        import time
 
         def prog(comm):
-            with lock:
-                counter["v"] += 1
+            if comm.rank == 0:
+                time.sleep(0.2)
+            before = time.monotonic()
             comm.barrier()
-            with lock:
-                seen = counter["v"]
-            return seen
+            return before, time.monotonic()
 
-        # After the barrier every rank must observe all increments.
-        assert all(v == 4 for v in run_spmd(4, prog, timeout=TIMEOUT))
+        # No rank leaves the barrier before the last one has entered it.
+        # The monotonic clock is system-wide, so this holds for process
+        # ranks as well as thread ranks.
+        stamps = run_spmd(4, prog, timeout=TIMEOUT)
+        last_in = max(before for before, _after in stamps)
+        assert all(after >= last_in for _before, after in stamps)
 
     def test_reduction_counter(self):
         counters = [Counters() for _ in range(2)]

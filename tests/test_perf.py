@@ -104,6 +104,20 @@ class TestSchema:
         assert env["backend"] == "vector"
         assert "backend" not in environment_fingerprint()
 
+    def test_environment_fingerprint_records_blas(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        env = environment_fingerprint()
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["OMP_NUM_THREADS"] is None
+        assert env["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert "blas_version" in env
+        # Entries written before the BLAS keys existed still validate.
+        good = BenchResult("s", "b", {"m": Metric(1.0, kind="count")}).to_dict()
+        blas_keys = ("blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        old = dict(good, env={k: v for k, v in good["env"].items() if k not in blas_keys})
+        assert validate_entry(old) == []
+
     def test_git_revision_and_version_string(self):
         sha, dirty = git_revision()
         assert sha is None or re.fullmatch(r"[0-9a-f]{40}", sha)

@@ -18,6 +18,7 @@ from repro.transport import (
     build_radiation_system,
     knudsen_number,
     limiter_lambda,
+    radiation_rhs,
 )
 from repro.transport.groups import planck_cdf, planck_integral
 from repro.transport.system import diffusion_coefficient
@@ -254,24 +255,29 @@ class TestBuildSystem:
         self.rho = np.ones((n1, n2))
         self.temp = np.ones((n1, n2))
 
-    def _build(self, **kw):
-        args = dict(
-            mesh=self.mesh, epad=self.epad, rho=self.rho, temp=self.temp,
-            dt=0.01, basis=self.basis, opacity=self.opacity,
+    def _build(self, rho=None, epad=None, dt=0.01, coupling=None, emission=True):
+        """``(coeffs, rhs)`` of one step at this test's material state."""
+        rho = self.rho if rho is None else rho
+        epad = self.epad if epad is None else epad
+        kappa_a = self.opacity.absorption(rho, self.temp, self.basis)
+        kappa_t = self.opacity.total(rho, self.temp, self.basis)
+        coeffs = build_radiation_system(
+            self.mesh, epad, kappa_a, kappa_t, dt, coupling=coupling
         )
-        args.update(kw)
-        return build_radiation_system(**args)
+        rhs = radiation_rhs(
+            epad[:, 1:-1, 1:-1], self.temp, kappa_a, dt, self.basis, emission=emission
+        )
+        return coeffs, rhs
 
     def test_shapes(self):
-        sys_ = self._build()
-        assert sys_.coeffs.shape == (6, 5)
-        assert sys_.ncomp == 2
-        assert sys_.rhs.shape == (2, 6, 5)
-        assert sys_.nunknowns == 60
+        coeffs, rhs = self._build()
+        assert coeffs.shape == (6, 5)
+        assert coeffs.nspec == 2
+        assert rhs.shape == (2, 6, 5)
+        assert coeffs.nunknowns == 60
 
     def test_diagonally_dominant_m_matrix(self):
-        sys_ = self._build()
-        c = sys_.coeffs
+        c, _rhs = self._build()
         offsum = np.abs(c.west) + np.abs(c.east) + np.abs(c.south) + np.abs(c.north)
         assert np.all(c.diag > offsum)          # strict: the dt*c*kappa_a term
         assert np.all(c.west <= 0) and np.all(c.east <= 0)
@@ -280,20 +286,18 @@ class TestBuildSystem:
     def test_symmetric_without_coupling(self):
         # Backward-Euler FD diffusion on a uniform mesh gives a
         # symmetric matrix (harmonic-mean face D is shared by both rows).
-        sys_ = self._build()
-        A = assemble_dense(sys_.coeffs)
+        coeffs, _rhs = self._build()
+        A = assemble_dense(coeffs)
         np.testing.assert_allclose(A, A.T, rtol=1e-12, atol=1e-14)
 
     def test_coupling_enters_system(self):
         C = self.basis.pair_coupling_matrix(2.0)
-        sys_ = self._build(coupling=C)
-        assert sys_.coeffs.coupling is not None
-        np.testing.assert_allclose(sys_.coeffs.coupling[0, 1], -0.01 * 2.0)
+        coeffs, _rhs = self._build(coupling=C)
+        assert coeffs.coupling is not None
+        np.testing.assert_allclose(coeffs.coupling[0, 1], -0.01 * 2.0)
         # conservative: diagonal grows by the same amount
-        sys0 = self._build()
-        np.testing.assert_allclose(
-            sys_.coeffs.diag - sys0.coeffs.diag, 0.01 * 2.0
-        )
+        coeffs0, _rhs = self._build()
+        np.testing.assert_allclose(coeffs.diag - coeffs0.diag, 0.01 * 2.0)
 
     def test_rest_state_is_fixed_point(self):
         # A uniform field with no emission and reflecting (well, any)
@@ -303,18 +307,17 @@ class TestBuildSystem:
         # rhs == E^n and A applied to uniform field differs only on the
         # boundary rows.
         self.epad[...] = 1.0
-        sys_ = self._build(emission=False)
-        resid = sys_.coeffs.diag.copy()
-        resid += sys_.coeffs.west + sys_.coeffs.east + sys_.coeffs.south + sys_.coeffs.north
+        c, _rhs = self._build(emission=False)
+        resid = c.diag + c.west + c.east + c.south + c.north
         inner = resid[:, 1:-1, 1:-1]
         np.testing.assert_allclose(
             inner, 1.0 + 0.01 * 1.0 * 1.0, rtol=1e-12
         )  # 1 + dt*c*kappa_a
 
     def test_emission_source(self):
-        sys_on = self._build(emission=True)
-        sys_off = self._build(emission=False)
-        extra = sys_on.rhs - sys_off.rhs
+        _c, rhs_on = self._build(emission=True)
+        _c, rhs_off = self._build(emission=False)
+        extra = rhs_on - rhs_off
         # dt * c * kappa_a * a T^4 * frac (grey frac ~ 1)
         np.testing.assert_allclose(extra, 0.01 * 1.0 * 1.0, rtol=5e-3)
 
@@ -332,9 +335,8 @@ class TestBuildSystem:
             self._build(coupling=np.zeros((3, 3)))
 
     def test_solvable_and_positive(self):
-        sys_ = self._build()
-        op = StencilOperator(sys_.coeffs)
-        res = bicgstab(op, sys_.rhs, tol=1e-10)
+        coeffs, rhs = self._build()
+        res = bicgstab(StencilOperator(coeffs), rhs, tol=1e-10)
         assert res.converged
         assert np.all(res.x > 0.0)  # M-matrix + positive rhs
 
